@@ -10,8 +10,9 @@ Two capabilities are required of each distribution:
 
 - :meth:`IndexDistribution.sample` — draw element indices (for the
   simulated benchmark), and
-- :meth:`IndexDistribution.cdf` — the continuous CDF over ``[0, n]``
-  (for the analytic EHR model of Eqs. 2–4, evaluated per cache line).
+- :meth:`IndexDistribution.truncated_cdf` — the continuous CDF over the
+  unit buffer (for the analytic EHR model of Eqs. 2–4, evaluated at every
+  cache-line boundary in one array pass).
 
 Sampling is rejection-based truncation to ``[0, n)``, and the CDF is the
 matching truncated CDF, so model and benchmark see exactly the same
@@ -23,11 +24,23 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, List
+from itertools import repeat
+from typing import Callable, Dict, List
 
 import numpy as np
 
 from ..errors import ModelError
+
+
+def _libm(fn: Callable[..., float], x: np.ndarray, *consts: float) -> np.ndarray:
+    """``fn(xi, *consts)`` for each element ``xi`` of ``x``, with ``fn`` a
+    :mod:`math` function. numpy's ``exp``/``log``/``power`` and scipy's
+    ``erf`` differ from libm in the last bit on up to a third of the
+    inputs these CDFs see, and committed records pin those bits
+    (DESIGN.md decision 16)."""
+    flat = np.ravel(x)
+    vals = map(fn, flat.tolist(), *(repeat(c) for c in consts))
+    return np.fromiter(vals, np.float64, count=flat.size).reshape(np.shape(x))
 
 
 class IndexDistribution(ABC):
@@ -43,9 +56,10 @@ class IndexDistribution(ABC):
     name: str = "abstract"
 
     @abstractmethod
-    def cdf01(self, u: float) -> float:
-        """*Untruncated* CDF of the underlying distribution at ``u``
-        (u in unit-buffer coordinates; may have mass outside [0,1))."""
+    def cdf01(self, u: np.ndarray | float) -> np.ndarray:
+        """*Untruncated* CDF of the underlying distribution at each ``u``
+        (unit-buffer coordinates; may have mass outside [0,1)), as
+        float64 of ``u``'s shape; a float gives a 0-d result."""
 
     @abstractmethod
     def _raw_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -53,13 +67,14 @@ class IndexDistribution(ABC):
 
     # -- derived ---------------------------------------------------------------
 
-    def truncated_cdf(self, u: float) -> float:
-        """CDF renormalised to the [0,1) support actually addressable."""
-        lo, hi = self.cdf01(0.0), self.cdf01(1.0)
+    def truncated_cdf(self, u: np.ndarray | float) -> np.ndarray:
+        """CDF renormalised to the [0,1) support actually addressable,
+        at each ``u`` (a float or an array)."""
+        lo, hi = self.cdf01(np.array([0.0, 1.0]))
         z = hi - lo
         if z <= 0:
             raise ModelError(f"{self.name}: no mass on the buffer support")
-        u = min(max(u, 0.0), 1.0)
+        u = np.minimum(np.maximum(u, 0.0), 1.0)
         return (self.cdf01(u) - lo) / z
 
     def sample(self, rng: np.random.Generator, size: int, n: int) -> np.ndarray:
@@ -111,8 +126,7 @@ class IndexDistribution(ABC):
         bounds = np.minimum(
             np.arange(n_lines + 1, dtype=np.float64) * elems_per_line, n_elems
         )
-        cdf_vals = np.array([self.truncated_cdf(b / n_elems) for b in bounds])
-        pmf = np.diff(cdf_vals)
+        pmf = np.diff(self.truncated_cdf(bounds / n_elems))
         # Numerical guard: renormalise tiny drift.
         total = pmf.sum()
         if not 0.99 < total < 1.01:
@@ -124,8 +138,7 @@ class IndexDistribution(ABC):
         the truncated distribution (Table II's 'Standard Deviation'
         column, divided by n). Computed numerically on a fine grid."""
         grid = np.linspace(0.0, 1.0, 4097)
-        cdf = np.array([self.truncated_cdf(u) for u in grid])
-        pmf = np.diff(cdf)
+        pmf = np.diff(self.truncated_cdf(grid))
         mids = (grid[:-1] + grid[1:]) / 2
         mean = float((pmf * mids).sum())
         var = float((pmf * (mids - mean) ** 2).sum())
@@ -146,9 +159,9 @@ class NormalDist(IndexDistribution):
             raise ModelError("Normal k must be positive")
         object.__setattr__(self, "name", f"Norm_{self.k:g}")
 
-    def cdf01(self, u: float) -> float:
-        z = (u - 0.5) * self.k
-        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    def cdf01(self, u: np.ndarray | float) -> np.ndarray:
+        z = (np.asarray(u, dtype=np.float64) - 0.5) * self.k
+        return 0.5 * (1.0 + _libm(math.erf, z / math.sqrt(2.0)))
 
     def _raw_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.normal(0.5, 1.0 / self.k, size)
@@ -165,10 +178,12 @@ class ExponentialDist(IndexDistribution):
             raise ModelError("Exponential k must be positive")
         object.__setattr__(self, "name", f"Exp_{self.k:g}")
 
-    def cdf01(self, u: float) -> float:
-        if u <= 0:
-            return 0.0
-        return 1.0 - math.exp(-self.k * u)
+    def cdf01(self, u: np.ndarray | float) -> np.ndarray:
+        u = np.asarray(u, dtype=np.float64)
+        out = np.zeros(u.shape)
+        pos = u > 0
+        out[pos] = 1.0 - _libm(math.exp, -self.k * u[pos])
+        return out
 
     def _raw_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(1.0 / self.k, size)
@@ -187,15 +202,16 @@ class TriangularDist(IndexDistribution):
         label = f"Tri_{self.index}" if self.index else f"Tri_b{self.mode_frac:g}"
         object.__setattr__(self, "name", label)
 
-    def cdf01(self, u: float) -> float:
+    def cdf01(self, u: np.ndarray | float) -> np.ndarray:
         b = self.mode_frac
-        if u <= 0:
-            return 0.0
-        if u >= 1:
-            return 1.0
-        if u < b:
-            return u * u / b
-        return 1.0 - (1.0 - u) ** 2 / (1.0 - b)
+        u = np.asarray(u, dtype=np.float64)
+        out = np.where(u >= 1, 1.0, 0.0)
+        inside, below = (u > 0) & (u < 1), u < b
+        rise, fall = inside & below, inside & ~below
+        r = u[rise]
+        out[rise] = r * r / b
+        out[fall] = 1.0 - _libm(math.pow, 1.0 - u[fall], 2) / (1.0 - b)
+        return out
 
     def _raw_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.triangular(0.0, self.mode_frac, 1.0, size)
@@ -208,8 +224,8 @@ class UniformDist(IndexDistribution):
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", "Uni")
 
-    def cdf01(self, u: float) -> float:
-        return min(max(u, 0.0), 1.0)
+    def cdf01(self, u: np.ndarray | float) -> np.ndarray:
+        return np.minimum(np.maximum(np.asarray(u, dtype=np.float64), 0.0), 1.0)
 
     def _raw_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.random(size)
@@ -264,22 +280,30 @@ class ZipfDist(IndexDistribution):
         if self.alpha < 0 or self.q <= 0:
             raise ModelError("Zipf needs alpha >= 0 and q > 0")
         object.__setattr__(self, "name", f"Zipf_{self.alpha:g}")
+        # The sampler's CDF range, fixed per instance: _raw_sample runs
+        # once per simulated chunk.
+        lo, hi = self.cdf01(np.array([0.0, 1.0])).tolist()
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_span", hi - lo)
 
-    def cdf01(self, u: float) -> float:
+    def cdf01(self, u: np.ndarray | float) -> np.ndarray:
         # Integral of (x+q)^-alpha from 0 to u (unnormalised; truncation
         # renormalises).
         a, q = self.alpha, self.q
-        if u <= 0:
-            return 0.0
+        u = np.asarray(u, dtype=np.float64)
+        out = np.zeros(u.shape)
+        pos = u > 0
+        x = u[pos] + q
         if abs(a - 1.0) < 1e-9:
-            return math.log((u + q) / q)
-        return ((u + q) ** (1 - a) - q ** (1 - a)) / (1 - a)
+            out[pos] = _libm(math.log, x / q)
+        else:
+            out[pos] = (_libm(math.pow, x, 1 - a) - q ** (1 - a)) / (1 - a)
+        return out
 
     def _raw_sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # Inverse-CDF sampling of the truncated distribution.
         a, q = self.alpha, self.q
-        lo, hi = self.cdf01(0.0), self.cdf01(1.0)
-        y = lo + rng.random(size) * (hi - lo)
+        y = self._lo + rng.random(size) * self._span
         if abs(a - 1.0) < 1e-9:
             return q * np.exp(y) - q
         return (y * (1 - a) + q ** (1 - a)) ** (1.0 / (1 - a)) - q

@@ -1,5 +1,7 @@
 """Table II distribution library."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from repro.workloads import (
     NormalDist,
     TriangularDist,
     UniformDist,
+    ZipfDist,
     table_ii_distributions,
 )
 
@@ -154,3 +157,125 @@ class TestZipf:
             ZipfDist(alpha=-1)
         with pytest.raises(ModelError):
             ZipfDist(q=0.0)
+
+
+# -- array path vs the scalar reference ----------------------------------------
+#
+# cdf01/truncated_cdf/line_pmf/std evaluate whole grids as arrays, with
+# every transcendental call still made on libm. The scalar loop below is
+# the definition they must reproduce bit for bit: one cdf01 expression
+# per bound, the clamp and the normalisation recomputed per bound.
+
+MiB = 1 << 20
+FIG6_SMOKE = [NormalDist(6), ExponentialDist(6), TriangularDist(0.6, index=2),
+              UniformDist()]
+REFERENCE_DISTS = ALL + [ZipfDist(a) for a in (0.0, 0.5, 1.0, 1.5)] + [
+    TriangularDist(0.0), TriangularDist(1.0)]
+#: Fig. 6 smoke probes (30/50/74 MB at scale 1/16, 4-byte ints, 64-byte lines).
+FIG6_SHAPES = [(size * MiB // 16 // 4, 16) for size in (30, 50, 74)]
+ODD_SHAPES = [(100, 16), (7, 3), (1, 1), (17, 16)]
+
+
+def _ref_cdf01(dist, u):
+    if isinstance(dist, NormalDist):
+        z = (u - 0.5) * dist.k
+        return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
+    if isinstance(dist, ExponentialDist):
+        if u <= 0:
+            return 0.0
+        return 1.0 - math.exp(-dist.k * u)
+    if isinstance(dist, TriangularDist):
+        b = dist.mode_frac
+        if u <= 0:
+            return 0.0
+        if u >= 1:
+            return 1.0
+        if u < b:
+            return u * u / b
+        return 1.0 - (1.0 - u) ** 2 / (1.0 - b)
+    if isinstance(dist, UniformDist):
+        return min(max(u, 0.0), 1.0)
+    assert isinstance(dist, ZipfDist)
+    a, q = dist.alpha, dist.q
+    if u <= 0:
+        return 0.0
+    if abs(a - 1.0) < 1e-9:
+        return math.log((u + q) / q)
+    return ((u + q) ** (1 - a) - q ** (1 - a)) / (1 - a)
+
+
+def _ref_truncated_cdf(dist, u):
+    lo, hi = _ref_cdf01(dist, 0.0), _ref_cdf01(dist, 1.0)
+    z = hi - lo
+    u = min(max(u, 0.0), 1.0)
+    return (_ref_cdf01(dist, u) - lo) / z
+
+
+def _ref_line_pmf(dist, n_elems, elems_per_line):
+    n_lines = (n_elems + elems_per_line - 1) // elems_per_line
+    bounds = np.minimum(
+        np.arange(n_lines + 1, dtype=np.float64) * elems_per_line, n_elems
+    )
+    cdf_vals = np.array([_ref_truncated_cdf(dist, b / n_elems) for b in bounds])
+    pmf = np.diff(cdf_vals)
+    return pmf / pmf.sum()
+
+
+def _ref_std(dist):
+    grid = np.linspace(0.0, 1.0, 4097)
+    pmf = np.diff(np.array([_ref_truncated_cdf(dist, u) for u in grid]))
+    mids = (grid[:-1] + grid[1:]) / 2
+    mean = float((pmf * mids).sum())
+    var = float((pmf * (mids - mean) ** 2).sum())
+    return math.sqrt(max(var, 0.0))
+
+
+def assert_same_bits(got, want):
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", FIG6_SHAPES, ids=lambda s: f"{s[0]}/{s[1]}")
+@pytest.mark.parametrize("dist", FIG6_SMOKE, ids=lambda d: d.name)
+def test_line_pmf_matches_reference_on_fig6_buffers(dist, shape):
+    assert_same_bits(dist.line_pmf(*shape), _ref_line_pmf(dist, *shape))
+
+
+@pytest.mark.parametrize("dist", REFERENCE_DISTS, ids=lambda d: d.name)
+class TestReferenceParity:
+    @pytest.mark.parametrize("shape", ODD_SHAPES + [(4096, 16)],
+                             ids=lambda s: f"{s[0]}/{s[1]}")
+    def test_line_pmf(self, dist, shape):
+        assert_same_bits(dist.line_pmf(*shape), _ref_line_pmf(dist, *shape))
+
+    def test_truncated_cdf_on_floats_and_arrays(self, dist):
+        grid = np.linspace(-0.25, 1.25, 1201)
+        want = [_ref_truncated_cdf(dist, u) for u in grid]
+        assert_same_bits(dist.truncated_cdf(grid), want)
+        for u in (0.0, 1e-9, 0.25, 0.5, 0.6, 0.999, 1.0, 2.0):
+            got = dist.truncated_cdf(u)
+            assert np.ndim(got) == 0
+            assert_same_bits(got, _ref_truncated_cdf(dist, u))
+
+    def test_std(self, dist):
+        assert_same_bits(dist.std(), _ref_std(dist))
+
+
+_any_dist = st.one_of(
+    st.floats(0.5, 16.0).map(NormalDist),
+    st.floats(0.5, 16.0).map(ExponentialDist),
+    st.floats(0.0, 1.0).map(TriangularDist),
+    st.just(UniformDist()),
+    st.builds(ZipfDist, st.one_of(st.just(1.0), st.floats(0.0, 2.0)),
+              st.floats(1e-3, 0.5)),
+)
+
+
+@given(dist=_any_dist, n_elems=st.integers(1, 5000),
+       elems_per_line=st.integers(1, 64))
+@settings(max_examples=60, deadline=None)
+def test_property_line_pmf_matches_reference(dist, n_elems, elems_per_line):
+    assert_same_bits(dist.line_pmf(n_elems, elems_per_line),
+                     _ref_line_pmf(dist, n_elems, elems_per_line))

@@ -16,10 +16,10 @@ paper's campaigns:
 ``repro bench engine`` (``repro.bench``) runs the same shapes standalone
 and records the machine-readable baseline in ``BENCH_engine.json``.
 
-The multicore gate at the bottom covers the macro-stepped scheduler
-(``REPRO_SCHED=macro``, the default): on the multicore bench shapes it
-must sustain at least 3x the chunk-at-a-time rate — the headline
-guarantee recorded in ``BENCH_engine.json``'s
+The multicore gate at the bottom covers the macro-stepped scheduler:
+on the multicore bench shapes it must sustain at least 3x the rate of
+the chunk-at-a-time reference (``repro.bench.run_chunk_at_a_time``) —
+the headline guarantee recorded in ``BENCH_engine.json``'s
 ``speedup_macro_vs_chunk``.
 """
 
@@ -28,9 +28,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.bench import MC_SHAPES, _sched_env, build_mc_scheduler
+from repro.bench import MC_SHAPES, build_mc_scheduler, run_chunk_at_a_time
 from repro.config import xeon20mb
-from repro.engine import AccessChunk, ArraySocket, FastSocket
+from repro.engine import AccessChunk, ArraySocket, FastSocket, Scheduler, _ckernel
 
 N_ACCESSES = 50_000
 
@@ -79,9 +79,14 @@ KERNELS = {
 }
 
 
+needs_c = pytest.mark.skipif(not _ckernel.available(), reason="no C toolchain")
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_bench_kernel_throughput(benchmark, shape, kernel):
+    if kernel == "arrays" and not _ckernel.available():
+        pytest.skip("no C toolchain")
     socket = xeon20mb()
     chunks = SHAPES[shape]()
 
@@ -100,6 +105,7 @@ def test_bench_kernel_throughput(benchmark, shape, kernel):
     assert rate > 200_000, f"{kernel} kernel throughput regressed: {rate:.0f} acc/s"
 
 
+@needs_c
 def test_bench_owner_tracking_overhead(benchmark):
     """Owner attribution costs ~20-30%; fail if it blows past 2.5x."""
     socket = xeon20mb()
@@ -129,23 +135,22 @@ MC_BUDGET = 40_000
 MC_ROUNDS = 3
 
 
-def _mc_rate(shape, env):
+def _mc_rate(shape, run):
     socket = xeon20mb()
     best = float("inf")
     for _ in range(MC_ROUNDS):
-        with _sched_env(env):
-            sched = build_mc_scheduler(shape, socket)
-            t0 = time.perf_counter()
-            outcome = sched.run(main_access_budget=MC_BUDGET)
-            best = min(best, time.perf_counter() - t0)
+        sched = build_mc_scheduler(shape, socket)
+        t0 = time.perf_counter()
+        outcome = run(sched, main_access_budget=MC_BUDGET)
+        best = min(best, time.perf_counter() - t0)
     return outcome.total_accesses / best
 
 
 @pytest.mark.parametrize("shape", sorted(MC_SHAPES))
 def test_bench_multicore_macro_speedup(benchmark, shape):
     """Macro-stepped scheduling >= 3x chunk-at-a-time on every shape."""
-    chunk = _mc_rate(shape, {"REPRO_SCHED": "chunk"})
-    macro = _mc_rate(shape, {"REPRO_SCHED": "macro"})
+    chunk = _mc_rate(shape, run_chunk_at_a_time)
+    macro = _mc_rate(shape, Scheduler.run)
 
     def report():
         return macro
@@ -157,40 +162,4 @@ def test_bench_multicore_macro_speedup(benchmark, shape):
     assert speedup >= MIN_MACRO_SPEEDUP, (
         f"{shape}: macro scheduler is only {speedup:.2f}x chunk-at-a-time "
         f"(floor {MIN_MACRO_SPEEDUP}x)"
-    )
-
-
-#: Batched sweeps must never be slower than per-point macro sweeps.
-#: The honest margin here is deliberately thin: PR 5's macro scheduler
-#: already amortised the per-chunk ctypes crossings, so what batching
-#: removes is per-point session overhead (simulator construction,
-#: window setup, one C call per scheduling round instead of one per
-#: point-round). On the 9-point bench campaign that is ~1.2-1.4x —
-#: the remaining floor (arena/RNG/workload construction, chunk
-#: generation, the C step itself) is pinned by the bit-identity
-#: contract and paid equally by both modes. 1.05x is a regression
-#: gate, not a marketing number.
-MIN_SWEEP_SPEEDUP = 1.05
-
-SWEEP_GATE_ROUNDS = 3
-
-
-def test_bench_sweep_batched_speedup(benchmark):
-    """Batched campaign >= 1.05x the per-point macro campaign."""
-    from repro.bench import run_sweep_bench
-
-    rates = run_sweep_bench(rounds=SWEEP_GATE_ROUNDS)
-    per_point = rates["per-point-macro"]
-    batched = rates["batched"]
-
-    def report():
-        return batched
-
-    benchmark.pedantic(report, rounds=1, iterations=1)
-    speedup = batched / per_point
-    print(f"\nsweep: per-point {per_point:,.0f} acc/s, "
-          f"batched {batched:,.0f} acc/s ({speedup:.2f}x)")
-    assert speedup >= MIN_SWEEP_SPEEDUP, (
-        f"sweep: batched backend is only {speedup:.2f}x per-point macro "
-        f"(floor {MIN_SWEEP_SPEEDUP}x)"
     )

@@ -1,17 +1,23 @@
 """Records check: regenerated experiment records == committed records.
 
-For each experiment named on the command line, regenerate its
-smoke-mode, seed-0 record with ``repro run --no-cache`` into a temporary
-directory and compare every key except ``telemetry`` with the committed
-``results/<EXP>.json`` (committed records carry no telemetry). Floats
-compare exactly, so any change in the last bit of a simulated or
-modelled number fails the check.
+For each experiment named on the command line (the names ``repro
+list`` prints), regenerate its smoke-mode, seed-0 record with ``repro
+run --no-cache`` into a temporary directory and compare every key except
+``telemetry`` with the committed ``results/<experiment_id>.json``. The
+record's own ``experiment_id`` names the committed file, so an
+experiment whose record id differs from its command name (``related_work``
+writes ``related_work_bubble``) is checked too. Floats compare exactly,
+so any change in the last bit of a simulated or modelled number fails
+the check.
 
 Exit status 0 = every record matches; 1 = at least one differs, with
 the experiment and the first differing key printed. Used by the CI
-``test`` job and runnable locally::
+``test`` and ``no-ckernel`` jobs over every experiment, and runnable
+locally::
 
     PYTHONPATH=src python scripts/check_records.py fig5 fig6 colocation
+    PYTHONPATH=src python scripts/check_records.py \
+        $(PYTHONPATH=src python -m repro list | cut -d' ' -f1)
 """
 from __future__ import annotations
 
@@ -67,7 +73,12 @@ def regenerate(experiment: str, out_dir: Path) -> dict:
         raise RuntimeError(
             f"{' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}"
         )
-    return json.loads((out_dir / f"{experiment}.json").read_text())
+    records = sorted(out_dir.glob("*.json"))
+    if len(records) != 1:
+        raise RuntimeError(
+            f"{' '.join(cmd[1:])} wrote {len(records)} records, expected 1"
+        )
+    return json.loads(records[0].read_text())
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -77,12 +88,6 @@ def main(argv: Optional[list] = None) -> int:
 
     failed = 0
     for exp in args.experiments:
-        committed = RESULTS / f"{exp}.json"
-        if not committed.exists():
-            print(f"FAIL {exp}: no committed record {committed}")
-            failed += 1
-            continue
-        want = json.loads(committed.read_text())
         t0 = time.perf_counter()
         with tempfile.TemporaryDirectory(prefix=f"records-{exp}-") as tmp:
             try:
@@ -91,6 +96,12 @@ def main(argv: Optional[list] = None) -> int:
                 print(f"FAIL {exp}: {exc}")
                 failed += 1
                 continue
+        committed = RESULTS / f"{got['experiment_id']}.json"
+        if not committed.exists():
+            print(f"FAIL {exp}: no committed record {committed}")
+            failed += 1
+            continue
+        want = json.loads(committed.read_text())
         got.pop("telemetry", None)
         want.pop("telemetry", None)
         diff = first_difference(got, want)

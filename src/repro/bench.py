@@ -7,7 +7,8 @@ committed baseline documents the list→array kernel speedup and gives CI
 an informational reference point; ``compare_engine_bench`` reports
 relative changes against it without ever failing the build (absolute
 throughput is machine-dependent — only the within-machine kernel ratio
-is meaningful across hosts).
+is meaningful across hosts). Without a C compiler the ``arrays`` rows
+and their ratio are simply absent.
 
 Shapes
 ------
@@ -22,12 +23,13 @@ Shapes
     The same stride stream but writing, so the dirty-writeback and
     arbiter writeback paths are hot as well.
 
-Multicore shapes (schema v2) drive whole :class:`~repro.engine.Scheduler`
-windows — a synthetic main against the paper's interference threads —
-under each scheduler mode (``sched-chunk``, ``sched-macro`` and, when
-the C scheduler is compiled, ``sched-macro-py``), so the recorded
-``speedup_macro_vs_chunk`` documents what macro-stepping buys on the
-shapes that dominate campaign wall time:
+Multicore shapes drive whole :class:`~repro.engine.Scheduler` windows —
+a synthetic main against the paper's interference threads — through
+the chunk-at-a-time reference (``sched-chunk``,
+:func:`run_chunk_at_a_time`) and the macro-stepped scheduler
+(``sched-macro``), so the recorded ``speedup_macro_vs_chunk`` documents
+what macro-stepping buys on the shapes that dominate campaign wall
+time:
 
 ``mc_csthr``
     1 x probabilistic benchmark + 3 x CSThr (capacity interference).
@@ -36,24 +38,13 @@ shapes that dominate campaign wall time:
 ``mc_mixed``
     1 x probabilistic benchmark + 2 x CSThr + 2 x BWThr + 1 x STREAM
     triad (the colocation-campaign regime).
-
-The ``sweep`` shape (schema v3) benchmarks whole-campaign orchestration:
-a 9-point mixed-kind interference campaign (cs k=0..4 + bw k=0..3)
-measured once per point (``per-point-macro``) and once through the
-sweep-batched engine (``batched`` — every point advancing in lockstep
-inside one kernel session, see :mod:`repro.engine.sweeppath`). The
-recorded ``speedup_batched_vs_macro`` documents what batching buys in
-the short-window, fine-quantum regime where per-point Python
-orchestration dominates campaign wall time.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import platform
 import time
-from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,12 +54,14 @@ from .engine import (
     ArraySocket,
     CoreState,
     FastSocket,
+    ScheduleOutcome,
     Scheduler,
     _ckernel,
     make_socket_kernel,
 )
 from .engine.chunk import AccessChunk
 from .engine.thread import SimThread, ThreadContext
+from .errors import SimulationError
 from .mem import AddressSpace
 from .obs.tracer import span as trace_span
 from .obs.tracer import tracer as current_tracer
@@ -76,7 +69,7 @@ from .obs.tracer import tracer as current_tracer
 DEFAULT_N_ACCESSES = 200_000
 DEFAULT_ROUNDS = 3
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def _random_chunks(n: int, quantum: int = 256) -> list:
@@ -162,106 +155,75 @@ MC_SHAPES: Dict[str, Callable[[], List[Tuple[SimThread, bool]]]] = {
     "mc_mixed": _mc_mixed,
 }
 
-#: The sweep shape: a 9-point mixed-kind campaign in the short-window,
-#: fine-quantum regime. Full-size campaign windows are kernel-bound
-#: (~80% of wall time inside the compiled step), which caps any
-#: orchestration win; short windows at a fine quantum are where
-#: per-point Python overhead — task/payload construction, window
-#: setup, per-point scheduler loops — dominates, and that is exactly
-#: the overhead sweep batching amortises.
-SWEEP_SHAPE = "sweep"
-SWEEP_POINTS: List[Tuple[str, int]] = (
-    [("cs", k) for k in range(5)] + [("bw", k) for k in range(4)]
-)
-SWEEP_WARMUP = 512
-SWEEP_MEASURE = 1024
-SWEEP_QUANTUM = 16
 
+def run_chunk_at_a_time(
+    sched: Scheduler,
+    main_access_budget: Optional[int] = None,
+    max_total_accesses: int = 500_000_000,
+) -> ScheduleOutcome:
+    """One :meth:`Scheduler.run` window, chunk at a time: the semantic
+    reference for the macro-stepped scheduler.
 
-def _sweep_campaign(socket: SocketConfig):
-    from .core.parallel import PointRunner
-    from .core.sweep import ActiveMeasurement
-    from .workloads.distributions import UniformDist
-    from .workloads.synthetic import ProbabilisticBenchmark
-
-    return ActiveMeasurement(
-        socket,
-        lambda: ProbabilisticBenchmark(
-            UniformDist(), 8 * 1024 * 1024, quantum=SWEEP_QUANTUM
-        ),
-        seed=11,
-        warmup_accesses=SWEEP_WARMUP,
-        measure_accesses=SWEEP_MEASURE,
-        runner=PointRunner(backend="serial", retries=0),
-    )
-
-
-def run_sweep_bench(
-    socket: Optional[SocketConfig] = None, rounds: int = DEFAULT_ROUNDS
-) -> Dict[str, float]:
-    """Time the 9-point sweep campaign per-point and batched.
-
-    Both modes run the same campaign through the same
-    :class:`~repro.core.parallel.PointRunner` machinery (uncached, so
-    every point simulates); the batched mode folds all 9 points —
-    mixed kinds included — into one sweep-batched kernel session. The
-    rate denominator is the campaign's total main-thread access budget,
-    identical across modes, so the ratio is a pure wall-time ratio.
+    Each step pulls one chunk from the least-advanced runnable thread's
+    generator and runs it through ``sched.fast.run_chunk``. Counters,
+    clocks and finish times are bit-identical to :meth:`Scheduler.run`
+    (``tests/engine/test_sched_equivalence.py``), at a fraction of its
+    speed (the engine bench's ``sched-chunk`` rows). A scheduler must be
+    driven by one of the two for its whole life: thread stream positions
+    live in suspended generators here and in queued blocks there.
     """
-    if socket is None:
-        socket = xeon20mb()
-    total_main = len(SWEEP_POINTS) * (SWEEP_WARMUP + SWEEP_MEASURE)
-    rates: Dict[str, float] = {}
-    # Batching rides the macro scheduler; pin it (and the compiled step,
-    # when available) regardless of ambient REPRO_SCHED overrides.
-    with _sched_env({}):
-        for mode in ("per-point-macro", "batched"):
-            batched = mode == "batched"
-            best = float("inf")
-            for rnd in range(rounds):
-                am = _sweep_campaign(socket)
-                runner = am._batched_runner() if batched else am.runner
-                tasks = [
-                    am.point_task(kind, k, batch=batched)
-                    for kind, k in SWEEP_POINTS
-                ]
-                with trace_span(f"sweep/{mode}", cat="bench.round",
-                                mode=mode, round=rnd):
-                    t0 = time.perf_counter()
-                    runner.run(tasks)
-                    best = min(best, time.perf_counter() - t0)
-            rates[mode] = total_main / best
-    return rates
+    mains, outcome = sched.open_window()
+    window_start = {c.core_id: c.accesses for c in mains}
+    total = 0
+    run_chunk = sched.fast.run_chunk
 
+    active_mains = len(mains)
+    runnable = [c for c in sched.cores if not c.done]
+    while active_mains > 0:
+        # Pick the least-advanced runnable core (first wins ties).
+        best = None
+        best_clock = float("inf")
+        for c in runnable:
+            if c.clock_ns < best_clock:
+                best = c
+                best_clock = c.clock_ns
+        assert best is not None
+        chunk = next(best.gen, None)
+        if chunk is None or len(chunk) == 0:
+            best.done = True
+            best.finish_ns = best.clock_ns
+            if best.is_main:
+                outcome.main_finish_ns[best.core_id] = best.clock_ns
+                active_mains -= 1
+            runnable = [c for c in runnable if not c.done]
+            continue
+        # The safety limit fires *before* dispatch, naming the core that
+        # would have crossed it.
+        if total + len(chunk) > max_total_accesses:
+            raise SimulationError(
+                f"simulation would have exceeded {max_total_accesses} "
+                f"accesses dispatching a {len(chunk)}-access chunk on "
+                f"core {best.core_id} ({best.thread.name!r}) at "
+                f"{total} total; likely a runaway interference-only "
+                "configuration"
+            )
+        best.clock_ns = run_chunk(best.core_id, chunk, best.clock_ns)
+        best.accesses += len(chunk)
+        total += len(chunk)
+        if (
+            best.is_main
+            and main_access_budget is not None
+            and best.accesses - window_start[best.core_id] >= main_access_budget
+        ):
+            best.done = True
+            best.finish_ns = best.clock_ns
+            outcome.main_finish_ns[best.core_id] = best.clock_ns
+            active_mains -= 1
+            runnable = [c for c in runnable if not c.done]
 
-_SCHED_ENV_VARS = ("REPRO_SCHED", "REPRO_NO_CSCHED", "REPRO_SCHED_BLOCK")
-
-
-def _sched_modes() -> Dict[str, Dict[str, str]]:
-    modes = {
-        "sched-chunk": {"REPRO_SCHED": "chunk"},
-        "sched-macro": {"REPRO_SCHED": "macro"},
-    }
-    if _ckernel.available():
-        # Only distinct from sched-macro when the C scheduler exists.
-        modes["sched-macro-py"] = {"REPRO_SCHED": "macro", "REPRO_NO_CSCHED": "1"}
-    return modes
-
-
-@contextmanager
-def _sched_env(env: Dict[str, str]):
-    saved = {var: os.environ.get(var) for var in _SCHED_ENV_VARS}
-    try:
-        for var in _SCHED_ENV_VARS:
-            os.environ.pop(var, None)
-        os.environ.update(env)
-        yield
-    finally:
-        for var, val in saved.items():
-            if val is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = val
+    outcome.end_ns = max(outcome.main_finish_ns.values())
+    outcome.total_accesses = total
+    return outcome
 
 
 def build_mc_scheduler(
@@ -290,10 +252,7 @@ def _kernels() -> Dict[str, Callable[[SocketConfig], object]]:
         "lists": lambda s: FastSocket(s),
     }
     if _ckernel.available():
-        kernels["arrays"] = lambda s: ArraySocket(s, backend="c")
-        kernels["arrays-py"] = lambda s: ArraySocket(s, backend="py")
-    else:
-        kernels["arrays"] = lambda s: ArraySocket(s, backend="py")
+        kernels["arrays"] = lambda s: ArraySocket(s)
     return kernels
 
 
@@ -326,24 +285,19 @@ def run_engine_bench(
     """
     if socket is None:
         socket = xeon20mb()
-    known = f"{sorted(SHAPES)} + {sorted(MC_SHAPES)} + [{SWEEP_SHAPE!r}]"
+    known = f"{sorted(SHAPES)} + {sorted(MC_SHAPES)}"
     if shapes is None:
         sc_shapes = dict(SHAPES)
         mc_shapes = list(MC_SHAPES)
-        run_sweep = True
     else:
-        unknown = [
-            s for s in shapes
-            if s not in SHAPES and s not in MC_SHAPES and s != SWEEP_SHAPE
-        ]
+        unknown = [s for s in shapes if s not in SHAPES and s not in MC_SHAPES]
         if unknown:
             raise ValueError(
                 f"unknown bench shape(s) {unknown!r}; known: {known}"
             )
         sc_shapes = {s: SHAPES[s] for s in shapes if s in SHAPES}
         mc_shapes = [s for s in shapes if s in MC_SHAPES]
-        run_sweep = SWEEP_SHAPE in shapes
-        if not sc_shapes and not mc_shapes and not run_sweep:
+        if not sc_shapes and not mc_shapes:
             # An empty selection (e.g. ``--shapes ""``) used to "run"
             # nothing and write an empty baseline; fail loudly instead.
             raise ValueError(f"no bench shapes selected; known: {known}")
@@ -372,29 +326,27 @@ def run_engine_bench(
                 results[shape][kname] = n / best
         for shape in mc_shapes:
             mc_results[shape] = {}
-            for mode, env in _sched_modes().items():
+            for mode in ("sched-chunk", "sched-macro"):
                 best = float("inf")
                 total = 0
                 for rnd in range(rounds):
-                    with _sched_env(env):
-                        sched = build_mc_scheduler(shape, socket)
-                        with trace_span(f"{shape}/{mode}", cat="bench.round",
-                                        shape=shape, mode=mode, round=rnd):
-                            t0 = time.perf_counter()
+                    sched = build_mc_scheduler(shape, socket)
+                    with trace_span(f"{shape}/{mode}", cat="bench.round",
+                                    shape=shape, mode=mode, round=rnd):
+                        t0 = time.perf_counter()
+                        if mode == "sched-chunk":
+                            outcome = run_chunk_at_a_time(sched, n_accesses)
+                        else:
                             outcome = sched.run(main_access_budget=n_accesses)
-                            best = min(best, time.perf_counter() - t0)
+                        best = min(best, time.perf_counter() - t0)
                     total = outcome.total_accesses
                 mc_results[shape][mode] = total / best
-        sweep_results: Dict[str, Dict[str, float]] = {}
-        if run_sweep:
-            sweep_results[SWEEP_SHAPE] = run_sweep_bench(socket, rounds)
         tracer = current_tracer()
         if tracer.enabled:
             tracer.record_counters("bench.engine", {
                 f"{shape}.{kname}": rate
                 for shape, by_kernel in
                 list(results.items()) + list(mc_results.items())
-                + list(sweep_results.items())
                 for kname, rate in by_kernel.items()
             })
     out: Dict[str, object] = {
@@ -406,18 +358,13 @@ def run_engine_bench(
         "machine": machine_fingerprint(),
         "accesses_per_sec": results,
         "speedup_arrays_vs_lists": {
-            shape: results[shape]["arrays"] / results[shape]["lists"]
-            for shape in results
+            shape: rates["arrays"] / rates["lists"]
+            for shape, rates in results.items() if "arrays" in rates
         },
         "multicore_accesses_per_sec": mc_results,
         "speedup_macro_vs_chunk": {
             shape: mc_results[shape]["sched-macro"] / mc_results[shape]["sched-chunk"]
             for shape in mc_results
-        },
-        "sweep_accesses_per_sec": sweep_results,
-        "speedup_batched_vs_macro": {
-            shape: rates["batched"] / rates["per-point-macro"]
-            for shape, rates in sweep_results.items()
         },
     }
     return out
@@ -441,7 +388,8 @@ def _format_rate_table(
     for shape, by_kernel in rates.items():
         row = "  " + shape.ljust(width)
         row += "".join(f"{by_kernel[k]:16,.0f}" for k in kernels)
-        row += f"  {ratios[shape]:10.2f}x"
+        if shape in ratios:
+            row += f"  {ratios[shape]:10.2f}x"
         lines.append(row)
     return lines
 
@@ -460,12 +408,6 @@ def format_engine_bench(baseline: Dict[str, object]) -> str:
             "multicore scheduler throughput (total accesses/sec):", mc_rates,
             "macro/chunk", baseline["speedup_macro_vs_chunk"],
         )
-    sweep_rates = baseline.get("sweep_accesses_per_sec", {})
-    if sweep_rates:
-        lines += _format_rate_table(
-            "sweep campaign throughput (main accesses/sec):", sweep_rates,
-            "batched/macro", baseline["speedup_batched_vs_macro"],
-        )
     return "\n".join(lines)
 
 
@@ -477,8 +419,7 @@ def compare_engine_bench(
     Never raises on regressions — machines differ; this exists so CI logs
     show the delta."""
     lines = ["change vs stored baseline (informational):"]
-    for section in ("accesses_per_sec", "multicore_accesses_per_sec",
-                    "sweep_accesses_per_sec"):
+    for section in ("accesses_per_sec", "multicore_accesses_per_sec"):
         ref_rates = reference.get(section, {})
         for shape, by_kernel in baseline.get(section, {}).items():
             for kname, rate in by_kernel.items():

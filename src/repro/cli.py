@@ -258,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shapes", default=None, metavar="A,B",
         help="comma-separated subset of shapes to run (single-core: "
              "random, stream, stream_writes; multicore: mc_csthr, "
-             "mc_bwthr, mc_mixed; campaign: sweep; default: all)",
+             "mc_bwthr, mc_mixed; default: all)",
     )
     bench_p.add_argument(
         "--compare", default=None, metavar="FILE",

@@ -108,18 +108,11 @@ class SocketConfig:
     #: paper's Eq. 1 accounting (fills only); the writeback ablation
     #: quantifies the difference. Writebacks are counted either way.
     throttle_writebacks: bool = False
-    #: Simulation kernel: ``"arrays"`` (flat tag-array kernel, default)
-    #: or ``"lists"`` (reference per-set recency-list kernel). The
-    #: ``REPRO_KERNEL`` env var overrides this. Both produce bit-identical
-    #: results; the choice only affects throughput.
-    kernel: str = "arrays"
     name: str = "socket"
 
     def __post_init__(self) -> None:
         if self.n_cores <= 0:
             raise ConfigError("socket: n_cores must be positive")
-        if self.kernel not in ("arrays", "lists"):
-            raise ConfigError("socket: kernel must be 'arrays' or 'lists'")
         if self.dram_bandwidth_Bps <= 0:
             raise ConfigError("socket: dram bandwidth must be positive")
         if self.scale <= 0:

@@ -41,6 +41,9 @@ Configuration via environment (read by :func:`default_runner`):
     existing journal is resumed (completed points are served from it).
 ``REPRO_FAULT_SEED`` (+ ``REPRO_FAULT_RATE`` …)
     Enables deterministic fault injection (see `repro.core.faults`).
+
+An invalid ``REPRO_WORKERS`` or ``REPRO_RUNNER_BACKEND`` raises
+:class:`~repro.errors.ConfigError` instead of falling back silently.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import MeasurementError
+from ..errors import ConfigError, MeasurementError
 from ..obs.tracer import span as trace_span
 from ..obs.tracer import tracer as current_tracer
 from ..obs.tracer import worker_capture
@@ -66,7 +69,7 @@ from ..obs.tracer import worker_capture
 #: Bump when the cached payload layout changes; part of every cache key.
 CACHE_FORMAT = 1
 
-BACKENDS = ("serial", "thread", "process", "batched")
+BACKENDS = ("serial", "thread", "process")
 
 
 # -- deterministic per-point seeding ------------------------------------------------
@@ -299,16 +302,12 @@ class RunnerTelemetry:
     #: as gaps instead of aborting the batch.
     gaps: int = 0
     #: Tasks that could not be shipped to a worker process (unpicklable
-    #: workload factory) and ran inline in the parent instead — or whose
-    #: batch group failed and re-ran per-point on the serial path.
+    #: workload factory) and ran inline in the parent instead.
     inline_fallbacks: int = 0
     #: Process pools rebuilt after a BrokenProcessPool. Bounded by the
     #: runner's ``max_pool_restarts``; once the budget is spent the
     #: remaining tasks run serially instead of churning dead pools.
     pool_restarts: int = 0
-    #: Point groups executed as single batched kernel sessions
-    #: (``backend="batched"``).
-    batches: int = 0
     #: Sum of per-attempt execution time (worker-side, seconds).
     busy_s: float = 0.0
     #: Wall-clock span of the batch — or, after :meth:`merge`, of the
@@ -355,7 +354,6 @@ class RunnerTelemetry:
         self.gaps += other.gaps
         self.inline_fallbacks += other.inline_fallbacks
         self.pool_restarts += other.pool_restarts
-        self.batches += other.batches
         self.busy_s += other.busy_s
         # Wall time is a *span*, not a sum: N sequential batches cover
         # first-start..last-end, and summing their individual walls
@@ -407,8 +405,6 @@ class RunnerTelemetry:
         ]
         if self.journal_hits:
             bits.append(f"{self.journal_hits} journal hits")
-        if self.batches:
-            bits.append(f"{self.batches} batched groups")
         if self.retries:
             bits.append(f"{self.retries} retries")
         if self.pool_restarts:
@@ -462,15 +458,6 @@ class PointTask:
     args: Tuple[Any, ...] = ()
     key: Optional[str] = None
     label: str = "point"
-    #: Tasks sharing a ``group`` (a content hash of everything that must
-    #: match for them to run in one kernel session — socket geometry,
-    #: window sizes, workload identity) may be executed together by the
-    #: ``batched`` backend. ``None`` means the task always runs alone.
-    group: Optional[str] = None
-    #: Module-level callable invoked as ``batch_fn([t.args for t in
-    #: group])``, returning one result per task in order. Required for a
-    #: task to join a batch; the serial path never calls it.
-    batch_fn: Optional[Callable[[List[Tuple[Any, ...]]], List[Any]]] = None
 
 
 @dataclass(frozen=True)
@@ -533,11 +520,8 @@ class PointRunner:
     backend:
         ``serial`` (in-process loop, the default), ``thread``
         (ThreadPoolExecutor; parallel I/O, GIL-bound compute),
-        ``process`` (ProcessPoolExecutor; true parallelism — tasks and
-        their results must pickle) or ``batched`` (in-process like
-        serial, but tasks sharing a :attr:`PointTask.group` run together
-        through their :attr:`PointTask.batch_fn` in one kernel session;
-        a failed batch falls back to per-point serial execution).
+        or ``process`` (ProcessPoolExecutor; true parallelism — tasks and
+        their results must pickle).
     max_workers:
         Pool width for the pooled backends; ignored by ``serial``.
     cache:
@@ -634,7 +618,7 @@ class PointRunner:
         soft = self.fail_soft if fail_soft is None else fail_soft
         tele = RunnerTelemetry(
             backend=self.backend,
-            workers=1 if self.backend in ("serial", "batched") else self.max_workers,
+            workers=1 if self.backend == "serial" else self.max_workers,
             points_total=len(tasks),
         )
         t0 = time.perf_counter()
@@ -673,8 +657,6 @@ class PointRunner:
             if pending:
                 if self.backend == "serial":
                     self._run_serial(tasks, pending, results, tele, soft)
-                elif self.backend == "batched":
-                    self._run_batched(tasks, pending, results, tele, soft)
                 else:
                     self._run_pooled(tasks, pending, results, tele, soft)
         finally:
@@ -796,59 +778,6 @@ class PointRunner:
             if last_exc is not None:
                 self._fail(i, task, last_exc, results, tele, soft)
 
-    def _run_batched(self, tasks: Sequence[PointTask], pending: List[int],
-                     results: List[Any], tele: RunnerTelemetry,
-                     soft: bool = False) -> None:
-        """Group pending tasks by :attr:`PointTask.group` and run each
-        group through its batch function in one call.
-
-        Journal/cache filtering already happened in :meth:`run`, so a
-        resumed campaign only batches the points that still need
-        simulating — already-journaled points never re-enter a batch.
-        Ungrouped tasks, singleton groups and groups whose batch call
-        fails take the ordinary serial path (per-point retries intact).
-        """
-        groups: Dict[str, List[int]] = {}
-        loose: List[int] = []
-        for i in pending:
-            task = tasks[i]
-            if task.group is None or task.batch_fn is None:
-                loose.append(i)
-            else:
-                groups.setdefault(task.group, []).append(i)
-        if loose:
-            self._run_serial(tasks, loose, results, tele, soft)
-        for group, idxs in groups.items():
-            if len(idxs) == 1:
-                # A 1-point batch buys nothing; serial keeps per-point
-                # retry/backoff semantics.
-                self._run_serial(tasks, idxs, results, tele, soft)
-                continue
-            batch_fn = tasks[idxs[0]].batch_fn
-            assert batch_fn is not None
-            with trace_span("batch.group", cat="runner",
-                            group=group, points=len(idxs)):
-                try:
-                    t0 = time.perf_counter()
-                    values = batch_fn([tasks[i].args for i in idxs])
-                    dt = time.perf_counter() - t0
-                    if len(values) != len(idxs):
-                        raise MeasurementError(
-                            f"batch for group {group!r} returned "
-                            f"{len(values)} results for {len(idxs)} points"
-                        )
-                except Exception:  # noqa: BLE001 - any batch fault
-                    # Fall back to per-point execution: deterministic
-                    # errors re-raise with per-point attribution, and
-                    # transient faults get the serial retry loop.
-                    tele.inline_fallbacks += len(idxs)
-                    self._run_serial(tasks, idxs, results, tele, soft)
-                    continue
-            tele.batches += 1
-            share = dt / len(idxs)
-            for i, value in zip(idxs, values):
-                self._finish(i, tasks[i], value, share, results, tele)
-
     def _picklable(self, task: PointTask) -> bool:
         try:
             pickle.dumps((task.fn, task.args))
@@ -963,20 +892,30 @@ class PointRunner:
 def default_runner(progress: Optional[ProgressHook] = None) -> PointRunner:
     """Build a runner from ``REPRO_WORKERS`` / ``REPRO_RUNNER_BACKEND`` /
     ``REPRO_CACHE_DIR`` / ``REPRO_JOURNAL`` / ``REPRO_FAULT_SEED``;
-    serial, uncached, un-journaled and fault-free unless configured."""
+    serial, uncached, un-journaled and fault-free unless configured.
+
+    An unset or blank variable takes its default; any other value that
+    is not a valid choice raises :class:`~repro.errors.ConfigError`
+    naming the variable, the value and the valid choices.
+    """
     from .faults import FaultInjector
     from .journal import CampaignJournal
 
-    try:
-        workers = int(os.environ.get("REPRO_WORKERS", "1"))
-    except ValueError:
-        workers = 1
-    backend = os.environ.get("REPRO_RUNNER_BACKEND")
-    if backend is None:
+    raw = os.environ.get("REPRO_WORKERS", "").strip() or "1"
+    if not (raw.isascii() and raw.isdigit()):
+        raise ConfigError(
+            f"REPRO_WORKERS must be a non-negative integer, got {raw!r}"
+        )
+    workers = int(raw)
+    backend = os.environ.get("REPRO_RUNNER_BACKEND", "").strip()
+    if not backend:
         backend = "process" if workers > 1 else "serial"
-    if backend not in BACKENDS:
-        backend = "serial"
-    if backend in ("serial", "batched"):
+    elif backend not in BACKENDS:
+        opts = " or ".join(repr(b) for b in BACKENDS)
+        raise ConfigError(
+            f"unknown value {backend!r} for REPRO_RUNNER_BACKEND: must be {opts}"
+        )
+    if backend == "serial":
         workers = 1
     timeout = os.environ.get("REPRO_POINT_TIMEOUT_S")
     return PointRunner(

@@ -14,21 +14,13 @@ brand-new simulator so points are independent and reproducible.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..config import SocketConfig
-from ..engine import (
-    MeasureResult,
-    SimThread,
-    SocketSimulator,
-    SweepSession,
-    resolve_sweep_mode,
-    sweep_supported,
-)
+from ..engine import MeasureResult, SimThread, SocketSimulator
 from ..errors import MeasurementError
 from ..obs.tracer import span as trace_span
 from ..workloads import BWThr, CSThr
@@ -218,7 +210,6 @@ class ActiveMeasurement:
         self.workload_spec = workload_spec
         self.per_point_seeds = per_point_seeds
         self._fingerprint: object = _UNSET
-        self._batch_group_key: Optional[str] = None
 
     # -- seeding / caching ------------------------------------------------------
 
@@ -337,13 +328,7 @@ class ActiveMeasurement:
                 sim.warmup(accesses=self.warmup_accesses)
         with trace_span("engine.measure", cat="engine", kind=kind, k=k):
             result = sim.measure(accesses=self.measure_accesses)
-        return self._assemble_point(kind, k, main_cores, result)
 
-    def _assemble_point(
-        self, kind: str, k: int, main_cores: List[int], result: MeasureResult
-    ) -> InterferencePoint:
-        """Derive the point's summary statistics from its measurement
-        window (shared by :meth:`run_point` and :meth:`run_point_batch`)."""
         miss = {c: result.l3_miss_rate(c) for c in main_cores}
         bws = {c: result.bandwidth_Bps(c) for c in main_cores}
         total_acc = sum(result.counters_of(c).accesses for c in main_cores)
@@ -360,126 +345,21 @@ class ActiveMeasurement:
             result=result,
         )
 
-    def run_point_batch(
-        self, specs: Sequence[Tuple[str, int, int]]
-    ) -> List[InterferencePoint]:
-        """Measure several points of this campaign in one sweep-batched
-        kernel session (:class:`~repro.engine.sweeppath.SweepSession`).
-
-        ``specs`` is a list of ``(kind, k, trial)`` point identities.
-        Points are fully independent simulations — each gets its own
-        seed, RNG streams, address space and kernel state — so the
-        batched results are bit-identical to sequential
-        :meth:`run_point` calls (pinned by
-        ``tests/engine/test_sweep_equivalence.py``); only the Python
-        orchestration overhead is amortised. Falls back to sequential
-        :meth:`run_point` when batching is unsupported
-        (``REPRO_SCHED=chunk`` pins the chunk scheduler).
-        """
-        specs = [(kind, int(k), int(trial)) for kind, k, trial in specs]
-        if not specs:
-            return []
-        if not sweep_supported():
-            return [self.run_point(kind, k, trial=t) for kind, k, t in specs]
-        rosters: List[List[SimThread]] = []
-        for kind, k, _trial in specs:
-            workload = self.workload_factory()
-            mains: List[SimThread] = (
-                list(workload)
-                if isinstance(workload, (list, tuple))
-                else [workload]
-            )
-            if not mains:
-                raise MeasurementError("workload factory returned no threads")
-            free = self.socket.n_cores - len(mains)
-            if k > free:
-                raise MeasurementError(
-                    f"cannot run {k} interference threads: only {free} cores "
-                    f"free ({len(mains)} used by the workload)"
-                )
-            rosters.append(mains)
-        session = SweepSession(
-            self.socket,
-            seeds=[self._seed_for(kind, k, t) for kind, k, t in specs],
-            track_owner=self.track_owner,
-        )
-        cores_per_point: List[List[int]] = []
-        for sim, (kind, k, _trial), mains in zip(session.sims, specs, rosters):
-            main_cores = [sim.add_thread(m, main=True) for m in mains]
-            for i in range(k):
-                sim.add_thread(self._interference_thread(kind, i))
-            cores_per_point.append(main_cores)
-        if self.warmup_accesses:
-            with trace_span("engine.warmup", cat="engine", points=len(specs)):
-                session.warmup(self.warmup_accesses)
-        with trace_span("engine.measure", cat="engine", points=len(specs)):
-            results = session.measure(self.measure_accesses)
-        return [
-            self._assemble_point(kind, k, cores, result)
-            for (kind, k, _t), cores, result in zip(
-                specs, cores_per_point, results
-            )
-        ]
-
     # -- sweeps -------------------------------------------------------------------
 
-    def point_task(
-        self, kind: str, k: int, trial: int = 0, batch: bool = False
-    ) -> PointTask:
+    def point_task(self, kind: str, k: int, trial: int = 0) -> PointTask:
         """The runnable unit for one (kind, k, trial) measurement —
-        picklable, content-keyed, label-stable.
-
-        ``batch=True`` additionally tags the task with this campaign's
-        batch group and batch function, so a ``batched`` runner may fold
-        it into one kernel session with its siblings. The per-point
-        ``fn``/``args`` stay identical either way — a failed batch falls
-        back to exactly the task the serial path would have run.
-        """
+        picklable, content-keyed, label-stable."""
         label = f"{kind}:k={k}" if trial == 0 else f"{kind}:k={k}:t{trial}"
         return PointTask(
             fn=_run_point_payload,
             args=(self._payload(), kind, k, trial),
             key=self._cache_key(kind, k, trial),
             label=label,
-            group=self._batch_group() if batch else None,
-            batch_fn=_run_point_batch if batch else None,
         )
 
-    def _point_tasks(
-        self, kind: str, ks: Sequence[int], batch: bool = False
-    ) -> List[PointTask]:
-        return [self.point_task(kind, k, batch=batch) for k in ks]
-
-    def _batch_group(self) -> str:
-        """Content hash of everything that must match for two points to
-        share one batched kernel session: the socket geometry, the
-        measured workload, the seeding model, the measurement windows
-        and the interference-thread parameters. Points of the same
-        campaign differ only in (kind, k, trial), which the sweep arena
-        handles per point. Memoised — the key is per-campaign constant
-        and hashing the socket config per task is measurable overhead."""
-        if self._batch_group_key is not None:
-            return self._batch_group_key
-        spec = self.workload_spec or self._workload_fingerprint()
-        if spec is None:
-            # Opaque factories cannot be content-addressed; fall back to
-            # the factory's object identity so only points built by this
-            # very campaign object batch together.
-            spec = f"factory@{id(self.workload_factory)}"
-        self._batch_group_key = cache_key(
-            batch=True,
-            socket=self.socket,
-            workload=spec,
-            seed=self.seed,
-            per_point_seeds=self.per_point_seeds,
-            warmup_accesses=self.warmup_accesses,
-            measure_accesses=self.measure_accesses,
-            csthr_bytes=self.csthr_bytes,
-            bwthr_buffer_bytes=self.bwthr_buffer_bytes,
-            bwthr_n_buffers=self.bwthr_n_buffers,
-            track_owner=self.track_owner,
-        )
-        return self._batch_group_key
+    def _point_tasks(self, kind: str, ks: Sequence[int]) -> List[PointTask]:
+        return [self.point_task(kind, k) for k in ks]
 
     def _payload(self) -> "_PointPayload":
         return _PointPayload(
@@ -495,63 +375,21 @@ class ActiveMeasurement:
             per_point_seeds=self.per_point_seeds,
         )
 
-    def sweep(
-        self, kind: str, ks: Sequence[int], backend: Optional[str] = None
-    ) -> InterferenceSweep:
-        """Run one interference ladder through the configured runner.
-
-        ``backend`` selects the sweep execution strategy: ``"per-point"``
-        (one simulator per point, the default) or ``"batched"`` (all
-        not-yet-cached points of the ladder advance in lockstep through
-        one sweep-batched kernel session — bit-identical results, less
-        per-point Python overhead). ``None`` defers to the
-        ``REPRO_SWEEP`` environment knob. Caching, journaling and
-        tracing behave identically either way: cache/journal hits are
-        served per point before the batch forms, so a resumed campaign
-        only batches the points it still needs.
-        """
-        if backend is None:
-            backend = resolve_sweep_mode()
-        elif backend not in ("batched", "per-point"):
-            raise MeasurementError(
-                f"unknown sweep backend {backend!r}; "
-                "pick one of ('batched', 'per-point')"
-            )
-        batched = backend == "batched"
-        runner = self._batched_runner() if batched else self.runner
+    def sweep(self, kind: str, ks: Sequence[int]) -> InterferenceSweep:
+        """Run one interference ladder through the configured runner."""
         ks = list(ks)
-        with trace_span(
-            "sweep", cat="sweep", kind=kind, n_points=len(ks), backend=backend
-        ):
-            points = runner.run(self._point_tasks(kind, ks, batch=batched))
-        # The batched coercion runs on a throwaway clone; reflect its
-        # telemetry on the configured runner so callers can inspect it.
-        if runner is not self.runner:
-            self.runner.last_telemetry = runner.last_telemetry
+        with trace_span("sweep", cat="sweep", kind=kind, n_points=len(ks)):
+            points = self.runner.run(self._point_tasks(kind, ks))
         return InterferenceSweep(kind, list(points))
 
-    def _batched_runner(self) -> PointRunner:
-        """The configured runner coerced to the ``batched`` backend — a
-        shallow copy, so cache, journal, injector, progress hook and
-        retry policy carry over unchanged."""
-        if self.runner.backend == "batched":
-            return self.runner
-        clone = copy.copy(self.runner)
-        clone.backend = "batched"
-        return clone
-
-    def capacity_sweep(
-        self, ks: Sequence[int] = range(6), backend: Optional[str] = None
-    ) -> InterferenceSweep:
+    def capacity_sweep(self, ks: Sequence[int] = range(6)) -> InterferenceSweep:
         """Sweep CSThr counts (paper: 0-5 threads x 4 MB)."""
-        return self.sweep(CS, ks, backend=backend)
+        return self.sweep(CS, ks)
 
-    def bandwidth_sweep(
-        self, ks: Sequence[int] = range(3), backend: Optional[str] = None
-    ) -> InterferenceSweep:
+    def bandwidth_sweep(self, ks: Sequence[int] = range(3)) -> InterferenceSweep:
         """Sweep BWThr counts (paper: 0-2 threads, beyond which BWThr
         stops being capacity-neutral, Section III-D)."""
-        return self.sweep(BW, ks, backend=backend)
+        return self.sweep(BW, ks)
 
     def robust_sweep(self, kind: str, ks: Sequence[int], n_trials: int = 5):
         """Multi-trial ladder with robust statistics and graceful gaps;
@@ -587,22 +425,10 @@ def _run_point_payload(
         return _rebuild_and_run(payload, kind, k, trial)
 
 
-def _run_point_batch(
-    args_list: Sequence[Tuple[_PointPayload, str, int, int]]
-) -> List[InterferencePoint]:
-    """Module-level batch entry point: each element of ``args_list`` is
-    the ``args`` tuple of one per-point task (same payload, different
-    point identity). Rebuilds the campaign once and measures every point
-    in one sweep-batched session."""
-    payload = args_list[0][0]
-    specs = [(kind, k, trial) for _p, kind, k, trial in args_list]
-    am = _rebuild(payload)
-    with trace_span("point.batch", cat="point", n_points=len(specs)):
-        return am.run_point_batch(specs)
-
-
-def _rebuild(payload: _PointPayload) -> ActiveMeasurement:
-    return ActiveMeasurement(
+def _rebuild_and_run(
+    payload: _PointPayload, kind: str, k: int, trial: int
+) -> InterferencePoint:
+    am = ActiveMeasurement(
         payload.socket,
         payload.workload_factory,
         seed=payload.seed,
@@ -614,9 +440,4 @@ def _rebuild(payload: _PointPayload) -> ActiveMeasurement:
         track_owner=payload.track_owner,
         per_point_seeds=payload.per_point_seeds,
     )
-
-
-def _rebuild_and_run(
-    payload: _PointPayload, kind: str, k: int, trial: int
-) -> InterferencePoint:
-    return _rebuild(payload).run_point(kind, k, trial=trial)
+    return am.run_point(kind, k, trial=trial)

@@ -4,31 +4,25 @@ Public surface:
 
 - :class:`AccessChunk` — the unit of simulated work
 - :class:`SimThread`, :class:`ThreadContext` — workload protocol
-- :class:`ArraySocket` — array-native simulation kernel (default)
-- :class:`FastSocket` — reference list-based simulation kernel
-- :func:`make_socket_kernel` — kernel selection (``REPRO_KERNEL`` /
-  :attr:`~repro.config.SocketConfig.kernel`)
+- :class:`ArraySocket` — array-native simulation kernel (C hot loop)
+- :class:`FastSocket` — reference list-based simulation kernel, the
+  fallback on hosts without a C compiler
+- :func:`make_socket_kernel` — kernel selection
 - :class:`Scheduler`, :class:`CoreState`, :class:`ScheduleOutcome`
 - :class:`BlockQueues`, :class:`QueueWriter` — macro-step block staging
 - :class:`SocketSimulator` — the facade experiments use
-- :class:`SweepSession`, :class:`SweepArena` — sweep-batched execution
-  (N points per kernel session, ``REPRO_SWEEP``)
 - :class:`NodeSimulator`, :class:`NodeKernel` — multi-socket NUMA node
 - :class:`MeasureResult`, :class:`NodeMeasureResult`
-- :func:`env_choice`, :func:`env_positive_int` — validated env-knob
-  parsing shared by every engine module
 """
 
-from .arraypath import ArraySocket, make_socket_kernel, resolve_kernel_name
+from .arraypath import ArraySocket, make_socket_kernel
 from .blockq import BlockQueues, QueueWriter
 from .chunk import AccessChunk
-from .envconf import env_choice, env_positive_int
 from .fastpath import FastSocket
 from .node import NodeKernel, NodeSimulator
 from .results import MeasureResult, NodeMeasureResult
 from .scheduler import CoreState, ScheduleOutcome, Scheduler
 from .socket_sim import SocketSimulator
-from .sweeppath import SweepArena, SweepSession, resolve_sweep_mode, sweep_supported
 from .thread import SimThread, ThreadContext
 
 __all__ = [
@@ -38,19 +32,12 @@ __all__ = [
     "ArraySocket",
     "FastSocket",
     "make_socket_kernel",
-    "resolve_kernel_name",
     "Scheduler",
     "CoreState",
     "ScheduleOutcome",
     "BlockQueues",
     "QueueWriter",
     "SocketSimulator",
-    "SweepSession",
-    "SweepArena",
-    "resolve_sweep_mode",
-    "sweep_supported",
-    "env_choice",
-    "env_positive_int",
     "NodeSimulator",
     "NodeKernel",
     "MeasureResult",

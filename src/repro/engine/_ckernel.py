@@ -20,8 +20,8 @@ library is built with ``-ffp-contract=off``, so chunk finish times and
 arbiter state are bit-identical to the list kernel, not merely close.
 
 If no compiler is available (or ``REPRO_NO_CKERNEL=1``), ``load()``
-returns ``None`` and the array kernel falls back to a pure-Python loop
-over the same state.
+returns ``None`` and simulators fall back to the list kernel
+(:func:`repro.engine.arraypath.make_socket_kernel`).
 """
 
 from __future__ import annotations
@@ -489,29 +489,6 @@ i64 sched_step(KS *k, SCH *s, i64 max_steps, i64 *out)
     return 0;
 }
 
-/* Batched sweep crossing: advance every independent sweep point whose
- * status slot holds the run-me sentinel (-1) with one sched_step each,
- * inside a single library call. ks/sch are per-point struct pointers;
- * each point's sched_step return code (0..3, see above) is written back
- * into status[p], so the caller services refills/limits per point and
- * re-enters with fresh sentinels. out is shared scratch (it is only
- * read between run_chunk and the counter accumulation of one chunk).
- * Returns the number of points that stopped on a non-terminal status
- * (1 or 2), i.e. how many need Python attention before the next
- * crossing. */
-i64 sweep_step(KS **ks, SCH **sch, i64 *status, i64 n_points,
-               i64 max_steps, i64 *out)
-{
-    i64 attention = 0;
-    for (i64 p = 0; p < n_points; p++) {
-        if (status[p] != -1) continue;
-        i64 st = sched_step(ks[p], sch[p], max_steps, out);
-        status[p] = st;
-        if (st == 1 || st == 2) attention += 1;
-    }
-    return attention;
-}
-
 /* Set-sampled LRU batch for SampledL3: flat tag/age arrays over the
  * sampled sets only (compact index = full set index >> sample_shift).
  * Lines must be pre-filtered to the sampled population. Returns hits. */
@@ -614,11 +591,6 @@ F_DONE, F_MAIN, F_EXHAUSTED = 1, 2, 4
 #: ``sched_step`` return codes.
 STEP_DONE, STEP_REFILL, STEP_LIMIT, STEP_MAXSTEPS = 0, 1, 2, 3
 
-#: ``sweep_step`` per-point status sentinel: advance this point on the
-#: next crossing (any other value means the point is parked until its
-#: event has been serviced Python-side).
-SWEEP_RUN = -1
-
 
 def _cache_dir() -> str:
     root = os.environ.get("REPRO_CKERNEL_CACHE")
@@ -677,7 +649,8 @@ def load() -> Optional[ctypes.CDLL]:
 
     Returns ``None`` when disabled (``REPRO_NO_CKERNEL=1``), when no C
     compiler is on PATH, or when the build fails for any reason — the
-    caller falls back to the pure-Python loop.
+    caller falls back to pure Python (the list kernel, or the sampled
+    L3's Python loop).
     """
     global _LOADED, _TRIED
     if _TRIED:
@@ -709,13 +682,6 @@ def load() -> Optional[ctypes.CDLL]:
     lib.sched_step.restype = i64
     lib.sched_step.argtypes = [
         ctypes.POINTER(KStruct), ctypes.POINTER(SCHStruct), i64,
-        ctypes.c_void_p,
-    ]
-    lib.sweep_step.restype = i64
-    lib.sweep_step.argtypes = [
-        ctypes.POINTER(ctypes.POINTER(KStruct)),
-        ctypes.POINTER(ctypes.POINTER(SCHStruct)),
-        ctypes.c_void_p, i64, i64,
         ctypes.c_void_p,
     ]
     lib.lru_sampled.restype = i64

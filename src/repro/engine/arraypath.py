@@ -21,34 +21,26 @@ C-contiguous buffers:
   views (:class:`_ArbiterView`) and the compiled loop share one source of
   truth.
 
-The hot loop over this state has two interchangeable backends:
+The hot loop over this state is a small C function compiled on first
+use from :mod:`repro.engine._ckernel` (stdlib ``ctypes``, no build
+dependency), ~20x the list kernel's throughput. It mirrors the list
+kernel's floating-point operation order exactly (the C build disables
+FP contraction), so per-chunk finish times and all event counters are
+bit-identical across kernels, not merely within tolerance. Runs of
+repeated accesses to one line take a *hit-streak fast path*: after the
+first L1 MRU hit the loop charges the remaining repeats' time directly,
+skipping tag probes and LRU updates they cannot change.
 
-- ``"c"`` — a small C function compiled on first use from
-  :mod:`repro.engine._ckernel` (stdlib ``ctypes``, no build dependency),
-  ~20x the list kernel's throughput;
-- ``"py"`` — a pure-Python transliteration of the same loop, used where
-  no C compiler exists and for differential testing of the C port.
-
-Both mirror the list kernel's floating-point operation order exactly
-(the C build disables FP contraction), so per-chunk finish times and all
-event counters are bit-identical across kernels, not merely within
-tolerance. Runs of repeated accesses to one line take a *hit-streak fast
-path*: after the first L1 MRU hit the loop charges the remaining
-repeats' time directly, skipping tag probes and LRU updates they cannot
-change.
-
-Kernel selection for simulators goes through :func:`make_socket_kernel`,
-driven by the ``REPRO_KERNEL`` env var (``arrays`` | ``lists``) which
-overrides :attr:`repro.config.SocketConfig.kernel` (default ``arrays``).
+Simulators get their kernel from :func:`make_socket_kernel`: this array
+kernel when the C kernel loads, and the list kernel otherwise (no C
+compiler, or ``REPRO_NO_CKERNEL=1``).
 """
 
 from __future__ import annotations
 
 import ctypes
-import os
 import warnings
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -57,7 +49,6 @@ from ..errors import ConfigError
 from ..mem.counters import CoreCounters, SocketCounters
 from . import _ckernel
 from .chunk import AccessChunk
-from .envconf import env_choice
 from .fastpath import FastSocket
 
 EMPTY_TAG = _ckernel.EMPTY_TAG
@@ -76,9 +67,10 @@ class _ArbiterView:
     kernel's shared register blocks.
 
     The controller state lives in ``aregs``/``airegs`` so the compiled
-    loop and this view always agree; the arithmetic below is an exact
-    transliteration of ``BandwidthArbiter`` (used by the pure-Python
-    backend; the C backend runs the same expressions natively).
+    loop and this view always agree; :meth:`request_fill` is an exact
+    transliteration of ``BandwidthArbiter.request_fill`` (the C loop
+    runs the same expressions natively; the node kernel charges
+    home-socket fills through this view).
     """
 
     WINDOW_FILLS = 512
@@ -89,7 +81,6 @@ class _ArbiterView:
     def __init__(self, socket: SocketConfig, aregs: np.ndarray, airegs: np.ndarray):
         self.line_bytes = socket.line_bytes
         self.capacity_Bps = socket.dram_bandwidth_Bps
-        self._throttle_writebacks = socket.throttle_writebacks
         self.service_ns = socket.line_bytes / socket.dram_bandwidth_Bps * 1e9
         self._a = aregs
         self._ai = airegs
@@ -138,15 +129,6 @@ class _ArbiterView:
         ai[_AI_FILL_B] += self.line_bytes
         return float(a[_A_DELAY]) + float(a[_A_KNEE])
 
-    def note_writeback(self, now_ns: float = 0.0) -> None:
-        a, ai = self._a, self._ai
-        ai[_AI_WB_B] += self.line_bytes
-        if self._throttle_writebacks:
-            if now_ns > a[_A_HWM]:
-                a[_A_HWM] = now_ns
-            ai[_AI_WCOUNT] += 1
-            a[_A_BUSY] += self.service_ns
-
     # -- inspection ---------------------------------------------------------
 
     def offered_rho(self) -> float:
@@ -184,72 +166,6 @@ class _PrefetcherView:
         self._owner._pf_issued[self._core] = 0
 
 
-@dataclass
-class SocketArrays:
-    """One simulation point's mutable kernel state as plain arrays.
-
-    :class:`ArraySocket` adopts whatever arrays it is handed — normally a
-    fresh single-point allocation from :meth:`allocate`, but equally rows
-    of a batch allocation with a per-point leading axis
-    (:class:`repro.engine.sweeppath.SweepArena`), which is how N sweep
-    points share one structure-of-arrays layout while each kernel sees
-    ordinary C-contiguous 1-D views.
-    """
-
-    tags1: np.ndarray
-    ages1: np.ndarray
-    tags2: np.ndarray
-    ages2: np.ndarray
-    tags3: np.ndarray
-    ages3: np.ndarray
-    owner3: Optional[np.ndarray]
-    arrival3: np.ndarray
-    dirty: np.ndarray
-    iregs: np.ndarray
-    aregs: np.ndarray
-    airegs: np.ndarray
-    pf_sid: np.ndarray
-    pf_last: np.ndarray
-    pf_stride: np.ndarray
-    pf_streak: np.ndarray
-    pf_expected: np.ndarray
-    pf_order: np.ndarray
-    pf_count: np.ndarray
-    pf_issued: np.ndarray
-
-    @classmethod
-    def allocate(cls, socket: SocketConfig, track_owner: bool = False) -> "SocketArrays":
-        n = socket.n_cores
-        s1, w1 = socket.l1.n_sets, socket.l1.ways
-        s2, w2 = socket.l2.n_sets, socket.l2.ways
-        s3, w3 = socket.l3.n_sets, socket.l3.ways
-        ns = socket.prefetch.n_streams
-        return cls(
-            tags1=np.full(n * s1 * w1, EMPTY_TAG, dtype=np.int64),
-            ages1=np.zeros(n * s1 * w1, dtype=np.int64),
-            tags2=np.full(n * s2 * w2, EMPTY_TAG, dtype=np.int64),
-            ages2=np.zeros(n * s2 * w2, dtype=np.int64),
-            tags3=np.full(s3 * w3, EMPTY_TAG, dtype=np.int64),
-            ages3=np.zeros(s3 * w3, dtype=np.int64),
-            owner3=np.full(s3 * w3, -1, dtype=np.int64) if track_owner else None,
-            arrival3=np.full(s3 * w3, -1.0, dtype=np.float64),
-            dirty=np.zeros(_DIRTY_CAP0, dtype=np.uint8),
-            # [0]=L3 age counter, [1]=pending staged-line count,
-            # [2+2c]/[3+2c]=core c's L1/L2 age counters.
-            iregs=np.zeros(2 + 2 * n, dtype=np.int64),
-            aregs=np.zeros(7, dtype=np.float64),
-            airegs=np.zeros(4, dtype=np.int64),
-            pf_sid=np.zeros(n * ns, dtype=np.int64),
-            pf_last=np.zeros(n * ns, dtype=np.int64),
-            pf_stride=np.zeros(n * ns, dtype=np.int64),
-            pf_streak=np.zeros(n * ns, dtype=np.int64),
-            pf_expected=np.zeros(n * ns, dtype=np.int64),
-            pf_order=np.zeros(n * ns, dtype=np.int64),
-            pf_count=np.zeros(n, dtype=np.int64),
-            pf_issued=np.zeros(n, dtype=np.int64),
-        )
-
-
 class ArraySocket:
     """Array-native socket kernel; public API matches ``FastSocket``.
 
@@ -260,35 +176,18 @@ class ArraySocket:
     track_owner:
         Maintain a last-toucher owner tag per resident L3 slot for
         :meth:`l3_occupancy_by_owner`.
-    backend:
-        ``"c"`` (compiled hot loop), ``"py"`` (pure-Python loop over the
-        same arrays), or ``None`` to pick ``"c"`` when a compiler is
-        available and ``"py"`` otherwise.
-    arrays:
-        Externally-allocated kernel state (must match ``socket``'s
-        geometry and be freshly initialised); ``None`` allocates a
-        private :class:`SocketArrays`. Batch sessions pass per-point rows
-        of one :class:`~repro.engine.sweeppath.SweepArena` here.
+
+    Raises :class:`~repro.errors.ConfigError` when the C kernel is
+    unavailable; :func:`make_socket_kernel` picks the list kernel then.
     """
 
-    def __init__(
-        self,
-        socket: SocketConfig,
-        track_owner: bool = False,
-        backend: Optional[str] = None,
-        arrays: Optional[SocketArrays] = None,
-    ):
+    def __init__(self, socket: SocketConfig, track_owner: bool = False):
+        self._lib = _ckernel.load()
+        if self._lib is None:
+            raise ConfigError("the array kernel needs the C kernel, which is "
+                              "unavailable (no compiler, or REPRO_NO_CKERNEL set)")
         self.socket = socket
         n = socket.n_cores
-
-        if backend is None:
-            backend = "c" if _ckernel.load() is not None else "py"
-        if backend not in ("c", "py"):
-            raise ConfigError(f"unknown array-kernel backend {backend!r}")
-        if backend == "c" and _ckernel.load() is None:
-            raise ConfigError("C kernel requested but unavailable "
-                              "(no compiler, or REPRO_NO_CKERNEL set)")
-        self.backend = backend
 
         s1, w1 = socket.l1.n_sets, socket.l1.ways
         s2, w2 = socket.l2.n_sets, socket.l2.ways
@@ -297,35 +196,34 @@ class ArraySocket:
         self._w1, self._w2, self._w3 = w1, w2, w3
         self._blk1, self._blk2 = s1 * w1, s2 * w2
 
-        if arrays is None:
-            arrays = SocketArrays.allocate(socket, track_owner=track_owner)
-        elif track_owner and arrays.owner3 is None:
-            raise ConfigError(
-                "track_owner=True but the supplied SocketArrays has no owner3"
-            )
-        self._tags1 = arrays.tags1
-        self._ages1 = arrays.ages1
-        self._tags2 = arrays.tags2
-        self._ages2 = arrays.ages2
-        self._tags3 = arrays.tags3
-        self._ages3 = arrays.ages3
-        self._owner3: Optional[np.ndarray] = arrays.owner3 if track_owner else None
-        self._arrival3 = arrays.arrival3
-        self._dirty = arrays.dirty
-        self._dirty_cap = int(arrays.dirty.size)
+        self._tags1 = np.full(n * s1 * w1, EMPTY_TAG, dtype=np.int64)
+        self._ages1 = np.zeros(n * s1 * w1, dtype=np.int64)
+        self._tags2 = np.full(n * s2 * w2, EMPTY_TAG, dtype=np.int64)
+        self._ages2 = np.zeros(n * s2 * w2, dtype=np.int64)
+        self._tags3 = np.full(s3 * w3, EMPTY_TAG, dtype=np.int64)
+        self._ages3 = np.zeros(s3 * w3, dtype=np.int64)
+        self._owner3: Optional[np.ndarray] = (
+            np.full(s3 * w3, -1, dtype=np.int64) if track_owner else None
+        )
+        self._arrival3 = np.full(s3 * w3, -1.0, dtype=np.float64)
+        self._dirty = np.zeros(_DIRTY_CAP0, dtype=np.uint8)
+        self._dirty_cap = _DIRTY_CAP0
 
-        self._iregs = arrays.iregs
-        self._aregs = arrays.aregs
-        self._airegs = arrays.airegs
+        # [0]=L3 age counter, [1]=pending staged-line count,
+        # [2+2c]/[3+2c]=core c's L1/L2 age counters.
+        self._iregs = np.zeros(2 + 2 * n, dtype=np.int64)
+        self._aregs = np.zeros(7, dtype=np.float64)
+        self._airegs = np.zeros(4, dtype=np.int64)
 
-        self._pf_sid = arrays.pf_sid
-        self._pf_last = arrays.pf_last
-        self._pf_stride = arrays.pf_stride
-        self._pf_streak = arrays.pf_streak
-        self._pf_expected = arrays.pf_expected
-        self._pf_order = arrays.pf_order
-        self._pf_count = arrays.pf_count
-        self._pf_issued = arrays.pf_issued
+        ns = socket.prefetch.n_streams
+        self._pf_sid = np.zeros(n * ns, dtype=np.int64)
+        self._pf_last = np.zeros(n * ns, dtype=np.int64)
+        self._pf_stride = np.zeros(n * ns, dtype=np.int64)
+        self._pf_streak = np.zeros(n * ns, dtype=np.int64)
+        self._pf_expected = np.zeros(n * ns, dtype=np.int64)
+        self._pf_order = np.zeros(n * ns, dtype=np.int64)
+        self._pf_count = np.zeros(n, dtype=np.int64)
+        self._pf_issued = np.zeros(n, dtype=np.int64)
 
         self.arbiter = _ArbiterView(socket, self._aregs, self._airegs)
         self.prefetchers = [_PrefetcherView(self, c) for c in range(n)]
@@ -341,13 +239,9 @@ class ArraySocket:
         self._dram_serial_ns = t.dram_latency_ns
 
         self._out = np.zeros(7, dtype=np.int64)
-        if backend == "c":
-            self._lib = _ckernel.load()
-            self._ks = self._build_struct()
-            self._ksp = ctypes.pointer(self._ks)
-            self._outp = self._out.ctypes.data
-        else:
-            self._lib = None
+        self._ks = self._build_struct()
+        self._ksp = ctypes.pointer(self._ks)
+        self._outp = self._out.ctypes.data
 
     # -- C plumbing ----------------------------------------------------------
 
@@ -401,9 +295,8 @@ class ArraySocket:
         grown[: self._dirty_cap] = self._dirty
         self._dirty = grown
         self._dirty_cap = new_cap
-        if self._lib is not None:
-            self._ks.dirty = self._dirty.ctypes.data
-            self._ks.dirty_cap = new_cap
+        self._ks.dirty = self._dirty.ctypes.data
+        self._ks.dirty_cap = new_cap
 
     def ensure_line_capacity(self, lines: np.ndarray) -> None:
         """Validate a batch of line addresses and pre-grow the dirty
@@ -455,21 +348,15 @@ class ArraySocket:
         t0 = now_ns + chunk.extra_ns
         w = chunk.is_write
 
-        if self._lib is not None:
-            t = self._lib.run_chunk(
-                self._ksp, core, lines.ctypes.data, n,
-                1 if w else 0, 1 if chunk.prefetchable else 0, chunk.stream_id,
-                ops_ns, dram_ns, t0, self._outp,
-            )
-            out = self._out
-            n_l1, n_l2, n_l3 = int(out[0]), int(out[1]), int(out[2])
-            n_pf, n_miss = int(out[3]), int(out[4])
-            n_pfill, n_wb = int(out[5]), int(out[6])
-        else:
-            t, n_l1, n_l2, n_l3, n_pf, n_miss, n_pfill, n_wb = self._run_chunk_py(
-                core, lines, w, bool(chunk.prefetchable), chunk.stream_id,
-                ops_ns, dram_ns, t0,
-            )
+        t = self._lib.run_chunk(
+            self._ksp, core, lines.ctypes.data, n,
+            1 if w else 0, 1 if chunk.prefetchable else 0, chunk.stream_id,
+            ops_ns, dram_ns, t0, self._outp,
+        )
+        out = self._out
+        n_l1, n_l2, n_l3 = int(out[0]), int(out[1]), int(out[2])
+        n_pf, n_miss = int(out[3]), int(out[4])
+        n_pfill, n_wb = int(out[5]), int(out[6])
 
         c = self.counters[core]
         c.accesses += n
@@ -486,267 +373,6 @@ class ArraySocket:
         c.stall_ns += (t - now_ns) - n * ops_ns - chunk.extra_ns
         c.elapsed_ns += t - now_ns
         return t
-
-    def _run_chunk_py(self, core, lines_arr, w, pf_on, sid, ops_ns, dram_ns, t):
-        """Pure-Python backend: the C loop transliterated over the same
-        flat arrays (reference for differential testing; used when no
-        compiler is available)."""
-        blk1, blk2 = self._blk1, self._blk2
-        tags1 = self._tags1[core * blk1:(core + 1) * blk1]
-        ages1 = self._ages1[core * blk1:(core + 1) * blk1]
-        tags2 = self._tags2[core * blk2:(core + 1) * blk2]
-        ages2 = self._ages2[core * blk2:(core + 1) * blk2]
-        tags3, ages3 = self._tags3, self._ages3
-        owner3, arr3, dirty = self._owner3, self._arrival3, self._dirty
-        cap = self._dirty_cap
-        m1, m2, m3 = self._l1_mask, self._l2_mask, self._l3_mask
-        w1, w2, w3 = self._w1, self._w2, self._w3
-        l1_ns, l2_ns, l3_ns = self._l1_ns, self._l2_ns, self._l3_ns
-        pf_ns = self._pf_ns
-        service_ns = self.arbiter.service_ns
-        iregs = self._iregs
-        arb_fill = self.arbiter.request_fill
-        arb_wb = self.arbiter.note_writeback
-        i_agec1, i_agec2 = 2 + 2 * core, 3 + 2 * core
-        lines: List[int] = lines_arr.tolist()
-        n = len(lines)
-        n_l1 = n_l2 = n_l3 = n_pf = n_miss = n_pfill = n_wb = 0
-
-        i = 0
-        while i < n:
-            a = lines[i]
-            t += ops_ns
-            b1 = (a & m1) * w1
-            h1 = -1
-            for j in range(w1):
-                if tags1[b1 + j] == a:
-                    h1 = j
-                    break
-            if h1 >= 0:
-                t += l1_ns
-                n_l1 += 1
-                iregs[i_agec1] += 1
-                ages1[b1 + h1] = iregs[i_agec1]
-                if w:
-                    dirty[a] = 1
-                # hit-streak fast path (see module docstring)
-                while i + 1 < n and lines[i + 1] == a:
-                    i += 1
-                    t += ops_ns
-                    t += l1_ns
-                    n_l1 += 1
-                i += 1
-                continue
-            b2 = (a & m2) * w2
-            h2 = -1
-            for j in range(w2):
-                if tags2[b2 + j] == a:
-                    h2 = j
-                    break
-            if h2 >= 0:
-                t += l2_ns
-                n_l2 += 1
-                if iregs[1] > 0:
-                    b3 = (a & m3) * w3
-                    for j in range(w3):
-                        if tags3[b3 + j] == a:
-                            arr = arr3[b3 + j]
-                            if arr >= 0.0:
-                                arr3[b3 + j] = -1.0
-                                iregs[1] -= 1
-                                n_pf += 1
-                                n_l2 -= 1
-                                if arr > t:
-                                    t = float(arr)
-                            break
-                iregs[i_agec2] += 1
-                ages2[b2 + h2] = iregs[i_agec2]
-            else:
-                b3 = (a & m3) * w3
-                h3 = -1
-                for j in range(w3):
-                    if tags3[b3 + j] == a:
-                        h3 = j
-                        break
-                if h3 >= 0:
-                    arr = arr3[b3 + h3] if iregs[1] > 0 else -1.0
-                    if arr >= 0.0:
-                        arr3[b3 + h3] = -1.0
-                        iregs[1] -= 1
-                        t += pf_ns
-                        if arr > t:
-                            t = float(arr)
-                        n_pf += 1
-                    else:
-                        t += l3_ns
-                        n_l3 += 1
-                    iregs[0] += 1
-                    ages3[b3 + h3] = iregs[0]
-                    if owner3 is not None:
-                        owner3[b3 + h3] = core
-                else:
-                    n_miss += 1
-                    t += dram_ns + arb_fill(t)
-                    vs = b3
-                    va = ages3[b3]
-                    for j in range(1, w3):
-                        if ages3[b3 + j] < va:
-                            va = ages3[b3 + j]
-                            vs = b3 + j
-                    victim = int(tags3[vs])
-                    if victim != EMPTY_TAG:
-                        if arr3[vs] >= 0.0:
-                            arr3[vs] = -1.0
-                            iregs[1] -= 1
-                        if 0 <= victim < cap and dirty[victim]:
-                            dirty[victim] = 0
-                            arb_wb(t)
-                            n_wb += 1
-                    tags3[vs] = a
-                    iregs[0] += 1
-                    ages3[vs] = iregs[0]
-                    arr3[vs] = -1.0
-                    if owner3 is not None:
-                        owner3[vs] = core
-                    if not w:
-                        dirty[a] = 0
-                if pf_on:
-                    cnt, stride = self._pf_observe_py(core, a, sid)
-                    k_fill = 0
-                    for q in range(1, cnt + 1):
-                        p = a + stride * q
-                        bp = (p & m3) * w3
-                        hp = -1
-                        for j in range(w3):
-                            if tags3[bp + j] == p:
-                                hp = j
-                                break
-                        if hp < 0:
-                            delay = arb_fill(t, False)
-                            k_fill += 1
-                            n_pfill += 1
-                            vs = bp
-                            va = ages3[bp]
-                            for j in range(1, w3):
-                                if ages3[bp + j] < va:
-                                    va = ages3[bp + j]
-                                    vs = bp + j
-                            v = int(tags3[vs])
-                            if v != EMPTY_TAG:
-                                if arr3[vs] >= 0.0:
-                                    arr3[vs] = -1.0
-                                    iregs[1] -= 1
-                                if 0 <= v < cap and dirty[v]:
-                                    dirty[v] = 0
-                                    arb_wb(t)
-                                    n_wb += 1
-                            tags3[vs] = p
-                            iregs[0] += 1
-                            ages3[vs] = iregs[0]
-                            arr3[vs] = t + dram_ns + delay + k_fill * service_ns
-                            iregs[1] += 1
-                            if owner3 is not None:
-                                owner3[vs] = core
-                        bp2 = (p & m2) * w2
-                        hq = -1
-                        for j in range(w2):
-                            if tags2[bp2 + j] == p:
-                                hq = j
-                                break
-                        if hq < 0:
-                            vs = bp2
-                            va = ages2[bp2]
-                            for j in range(1, w2):
-                                if ages2[bp2 + j] < va:
-                                    va = ages2[bp2 + j]
-                                    vs = bp2 + j
-                            tags2[vs] = p
-                            iregs[i_agec2] += 1
-                            ages2[vs] = iregs[i_agec2]
-                vs = b2
-                va = ages2[b2]
-                for j in range(1, w2):
-                    if ages2[b2 + j] < va:
-                        va = ages2[b2 + j]
-                        vs = b2 + j
-                tags2[vs] = a
-                iregs[i_agec2] += 1
-                ages2[vs] = iregs[i_agec2]
-            vs = b1
-            va = ages1[b1]
-            for j in range(1, w1):
-                if ages1[b1 + j] < va:
-                    va = ages1[b1 + j]
-                    vs = b1 + j
-            tags1[vs] = a
-            iregs[i_agec1] += 1
-            ages1[vs] = iregs[i_agec1]
-            if w:
-                dirty[a] = 1
-            while i + 1 < n and lines[i + 1] == a:
-                i += 1
-                t += ops_ns
-                t += l1_ns
-                n_l1 += 1
-            i += 1
-
-        return float(t), n_l1, n_l2, n_l3, n_pf, n_miss, n_pfill, n_wb
-
-    def _pf_observe_py(self, core: int, a: int, sid: int):
-        """StridePrefetcher.observe_miss over the stream-table arrays.
-        Returns ``(count, stride)``; staged lines are ``a + stride*k``."""
-        pf = self.socket.prefetch
-        if not pf.enabled or pf.degree == 0:
-            return 0, 0
-        ns = pf.n_streams
-        base = core * ns
-        sids = self._pf_sid
-        order = self._pf_order
-        cnt = int(self._pf_count[core])
-        slot = -1
-        for i in range(cnt):
-            s = int(order[base + i])
-            if sids[base + s] == sid:
-                slot = s
-                break
-        if slot < 0:
-            if cnt >= ns:
-                slot = int(order[base])
-                order[base:base + cnt - 1] = order[base + 1:base + cnt]
-                cnt -= 1
-            else:
-                slot = cnt
-            order[base + cnt] = slot
-            self._pf_count[core] = cnt + 1
-            sids[base + slot] = sid
-            self._pf_last[base + slot] = -1
-            self._pf_stride[base + slot] = 0
-            self._pf_streak[base + slot] = 0
-            self._pf_expected[base + slot] = -1
-        degree = pf.degree
-        k = base + slot
-        if self._pf_expected[k] == a:
-            stride = int(self._pf_stride[k])
-            self._pf_last[k] = a
-            self._pf_expected[k] = a + (degree + 1) * stride
-            self._pf_issued[core] += 1
-            return degree, stride
-        last = int(self._pf_last[k])
-        stride = a - last if last >= 0 else 0
-        if stride == 0:
-            self._pf_streak[k] = 0
-        elif stride == self._pf_stride[k]:
-            self._pf_streak[k] += 1
-        else:
-            self._pf_streak[k] = 1
-        self._pf_stride[k] = stride
-        self._pf_last[k] = a
-        if stride != 0 and self._pf_streak[k] >= pf.detect_after:
-            self._pf_expected[k] = a + (degree + 1) * stride
-            self._pf_issued[core] += 1
-            return degree, stride
-        self._pf_expected[k] = -1
-        return 0, 0
 
     # -- inspection / control -------------------------------------------------
 
@@ -808,19 +434,11 @@ class _SchedBinding:
     macro-state. Built once per macro-state (the arrays it points at
     never move) and reused for every window; only the queue line arena —
     reallocated by ``grow_lines`` — and the Python-side scalar mirrors
-    need refreshing around each crossing.
-
-    The sweep-batch driver (:mod:`repro.engine.sweeppath`) uses
-    :meth:`sync_in`/:meth:`sync_out` directly around a many-point
-    ``sweep_step`` call; the per-point path wraps both in :meth:`step`.
-    """
+    need refreshing around each crossing."""
 
     def __init__(self, fast: "ArraySocket", st):
         self.fast = fast
         self.st = st
-        lib = fast._lib
-        assert lib is not None
-        self._lib = lib
         q = st.q
         self._q = q
         sch = _ckernel.SCHStruct()
@@ -851,10 +469,10 @@ class _SchedBinding:
         self._schp = ctypes.byref(sch)
         self._bound_generation = -1  # force a qlines refresh on first call
 
-    def sync_in(self) -> None:
-        """Mirror Python-side scheduling scalars into the struct (and
-        rebind the line arena if a refill reallocated it)."""
+    def step(self, max_steps: int) -> int:
         sch, q, st = self.sch, self._q, self.st
+        # Mirror the Python-side scheduling scalars into the struct (and
+        # rebind the line arena if a refill reallocated it) ...
         if self._bound_generation != q.generation:
             sch.qlines = q.lines.ctypes.data
             sch.line_cap = q.line_cap
@@ -862,91 +480,52 @@ class _SchedBinding:
         sch.max_total = st.max_total
         sch.total = st.total
         sch.active_mains = st.active_mains
-
-    def sync_out(self) -> None:
-        """Mirror the struct's scalars back after a compiled crossing."""
-        sch, st = self.sch, self.st
-        st.total = int(sch.total)
-        st.active_mains = int(sch.active_mains)
-        st.event = int(sch.event)
-
-    def step(self, max_steps: int) -> int:
-        self.sync_in()
         status = int(
-            self._lib.sched_step(
+            self.fast._lib.sched_step(
                 self.fast._ksp, self._schp, max_steps, self.fast._outp
             )
         )
-        self.sync_out()
+        # ... and back after the crossing.
+        st.total = int(sch.total)
+        st.active_mains = int(sch.active_mains)
+        st.event = int(sch.event)
         return status
-
-
-def get_sched_binding(fast: SocketKernel, st) -> Optional[_SchedBinding]:
-    """Return the (cached) compiled-scheduler binding for ``fast`` and
-    macro-state ``st``, or ``None`` when the macro loop must run in pure
-    Python: list kernel, pure-Python array backend, or
-    ``REPRO_NO_CSCHED=1`` (which forces the Python macro-step while
-    keeping the compiled per-chunk loop — the differential-testing knob
-    for the scheduler port)."""
-    if not isinstance(fast, ArraySocket) or fast._lib is None:
-        return None
-    if os.environ.get("REPRO_NO_CSCHED"):
-        return None
-    binding = getattr(st, "binding", None)
-    if binding is None or binding.fast is not fast:
-        binding = _SchedBinding(fast, st)
-        st.binding = binding
-    return binding
 
 
 def bind_sched_step(fast: SocketKernel, st) -> Optional[object]:
     """Bind the compiled ``sched_step`` to ``fast`` and a scheduler
     macro-state ``st`` (see :class:`repro.engine.scheduler._MacroState`).
 
-    Returns a ``step(max_steps) -> status`` callable, or ``None`` under
-    the conditions documented on :func:`get_sched_binding`.
+    Returns the cached ``step(max_steps) -> status`` callable, or
+    ``None`` when ``fast`` is not an :class:`ArraySocket` (the list
+    kernel and the node kernel), in which case the scheduler runs its
+    pure-Python macro-step.
     """
-    binding = get_sched_binding(fast, st)
-    return binding.step if binding is not None else None
+    if not isinstance(fast, ArraySocket):
+        return None
+    binding = st.binding
+    if binding is None or binding.fast is not fast:
+        binding = _SchedBinding(fast, st)
+        st.binding = binding
+    return binding.step
+
 
 _warned_fallback = False
 
 
-def resolve_kernel_name(socket: SocketConfig) -> str:
-    """Kernel choice: ``REPRO_KERNEL`` env var, else ``socket.kernel``."""
-    return env_choice(
-        "REPRO_KERNEL",
-        ("arrays", "lists"),
-        getattr(socket, "kernel", "arrays"),
-        label="REPRO_KERNEL/SocketConfig.kernel",
-    )
-
-
 def make_socket_kernel(socket: SocketConfig, track_owner: bool = False) -> SocketKernel:
-    """Build the simulation kernel selected by ``REPRO_KERNEL`` /
-    :attr:`SocketConfig.kernel`.
-
-    ``arrays`` (the default) uses :class:`ArraySocket` with the compiled
-    hot loop. When no C compiler is available the pure-Python array
-    backend would be slower than the tuned list kernel, so the *implicit*
-    default quietly falls back to :class:`FastSocket`; setting
-    ``REPRO_KERNEL=arrays`` explicitly forces the array kernel either
-    way. Both choices are cross-validated bit-for-bit, so this only ever
-    affects throughput.
+    """Build the simulation kernel: :class:`ArraySocket` when the C
+    kernel loads, else the list kernel :class:`FastSocket` (with a
+    one-time ``RuntimeWarning``). Both are cross-validated bit-for-bit,
+    so the choice only ever affects throughput.
     """
     global _warned_fallback
-    name = resolve_kernel_name(socket)
-    if name == "lists":
-        return FastSocket(socket, track_owner=track_owner)
     if _ckernel.load() is not None:
-        return ArraySocket(socket, track_owner=track_owner, backend="c")
-    if os.environ.get("REPRO_KERNEL", "").strip() == "arrays":
-        return ArraySocket(socket, track_owner=track_owner, backend="py")
+        return ArraySocket(socket, track_owner=track_owner)
     if not _warned_fallback:
         _warned_fallback = True
         warnings.warn(
-            "no C compiler found: falling back to the list kernel "
-            "(set REPRO_KERNEL=arrays to force the pure-Python array kernel)",
+            "no C compiler found: falling back to the list kernel",
             RuntimeWarning,
             stacklevel=2,
         )

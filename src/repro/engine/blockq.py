@@ -42,7 +42,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-#: Default chunks buffered per refill block (see ``REPRO_SCHED_BLOCK``).
+#: Chunks buffered per refill block. No result depends on it, only the
+#: refill cadence; it must stay >= 8 because ``fill_block``
+#: implementations stage whole workload cycles (the triad's 3 chunks,
+#: the bubble's 1 + up-to-4) and a block must always hold one.
 DEFAULT_CHUNK_CAP = 64
 
 #: Default line-arena budget per chunk slot; blocks whose chunks are

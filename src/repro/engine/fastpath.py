@@ -3,10 +3,10 @@
 A single tuned Python loop that pushes one
 :class:`~repro.engine.chunk.AccessChunk` through L1 -> L2 -> shared L3 ->
 DRAM, charging time, feeding the stride prefetcher and reserving
-DRAM-link slots. This is the *reference* kernel (``REPRO_KERNEL=lists``):
-the default production kernel is the array-native
-:class:`~repro.engine.arraypath.ArraySocket`, which is cross-validated
-bit-for-bit against this one and several times faster.
+DRAM-link slots. This is the *reference* kernel and the fallback on
+hosts without a C compiler: where the C kernel loads, simulators run the
+array-native :class:`~repro.engine.arraypath.ArraySocket`, which is
+cross-validated bit-for-bit against this one and several times faster.
 
 Semantics are identical to the reference composition in
 :mod:`repro.mem.hierarchy` under LRU (cross-validated by

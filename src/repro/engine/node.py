@@ -35,8 +35,11 @@ Memory model (the STREAM-NUMA asymmetry):
 
 Equivalence gate: a **1-socket node is bit-identical to**
 :class:`~repro.engine.socket_sim.SocketSimulator` — same counters as
-integers, same finish times as floats — under every scheduler mode
-(``tests/engine/test_node_equivalence.py``). The dispatch path returns
+integers, same finish times as floats — under both macro-step paths
+(``tests/engine/test_node_equivalence.py``). The node always runs the
+scheduler's pure-Python macro-step: the compiled ``sched_step`` binds to
+a single :class:`~repro.engine.arraypath.ArraySocket`, not to this
+multi-kernel facade. The dispatch path returns
 the socket kernel's clock untouched when no remote lines exist, so the
 single-socket case cannot drift.
 """

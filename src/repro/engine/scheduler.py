@@ -14,20 +14,20 @@ construction): the lowest-numbered least-advanced core runs first. This
 makes the interleave order a documented invariant rather than an
 accident of ``add_thread`` call order.
 
-The interleave itself runs in one of two modes (DESIGN.md decision 11):
-
-- **macro** (the default): threads stage whole *blocks* of chunks into
-  preallocated per-core queues (:mod:`repro.engine.blockq`) — via their
-  vectorised ``fill_block`` hook or a universal generator fallback — and
-  the min-clock loop consumes them in the compiled
-  ``repro.engine._ckernel.sched_step`` (or a bit-identical pure-Python
-  macro-step when no C kernel is available, ``REPRO_NO_CKERNEL=1``, or
-  ``REPRO_NO_CSCHED=1``). Python is re-entered only to refill a drained
-  queue, so per-chunk scheduling overhead amortises over the block.
-- **chunk** (``REPRO_SCHED=chunk``): the original chunk-at-a-time loop,
-  kept as the semantic reference. Both modes produce bit-identical event
-  counters and exactly-equal finish times
-  (``tests/engine/test_sched_equivalence.py``).
+The interleave is macro-stepped (DESIGN.md decision 11): threads stage
+whole *blocks* of chunks into preallocated per-core queues
+(:mod:`repro.engine.blockq`) — via their vectorised ``fill_block`` hook
+or a universal generator fallback — and the min-clock loop consumes
+them in the compiled ``repro.engine._ckernel.sched_step``. Kernels that
+cannot bind the compiled step (the list kernel on hosts without a C
+compiler, and the multi-socket :class:`~repro.engine.node.NodeKernel`)
+run the bit-identical pure-Python :meth:`Scheduler._py_macro_step`.
+Python is re-entered only to refill a drained queue, so per-chunk
+scheduling overhead amortises over the block. The original
+chunk-at-a-time loop survives as the semantic reference,
+:func:`repro.bench.run_chunk_at_a_time`: all of them produce
+bit-identical event counters and exactly-equal finish times
+(``tests/engine/test_sched_equivalence.py``).
 
 Stopping conditions: all *main* threads finish (their generators are
 exhausted or they reach an access budget), or a global simulated-time /
@@ -46,7 +46,6 @@ from ..obs import span
 from . import _ckernel as _ck
 from .blockq import DEFAULT_CHUNK_CAP, BlockQueues, QueueWriter
 from .chunk import AccessChunk
-from .envconf import env_choice, env_positive_int
 from .thread import SimThread
 
 if TYPE_CHECKING:  # avoid an import cycle with arraypath/socket_sim
@@ -113,17 +112,9 @@ class _MacroState:
     measurement windows: leftover queued chunks carry over, exactly
     where the thread's stream left off."""
 
-    def __init__(
-        self,
-        cores: Sequence[CoreState],
-        chunk_cap: int,
-        line_cap: Optional[int] = None,
-    ):
+    def __init__(self, cores: Sequence[CoreState]):
         n = len(cores)
-        if line_cap is None:
-            self.q = BlockQueues(n, chunk_cap=chunk_cap)
-        else:
-            self.q = BlockQueues(n, chunk_cap=chunk_cap, line_cap=line_cap)
+        self.q = BlockQueues(n, chunk_cap=DEFAULT_CHUNK_CAP)
         self.writers = [QueueWriter(self.q, i) for i in range(n)]
         #: True once a thread's stream ended (generator exhausted or
         #: ``fill_block`` produced nothing). Sticky across windows, so a
@@ -146,36 +137,6 @@ class _MacroState:
         #: The SCH struct points at the arrays above, which never move,
         #: so it is built once per macro state and reused every window.
         self.binding = None
-
-
-def _resolve_sched_mode() -> str:
-    return env_choice("REPRO_SCHED", ("macro", "chunk"), "macro")
-
-
-def _resolve_block_chunks() -> int:
-    # fill_block implementations stage whole workload cycles (triad's 3
-    # chunks, the bubble's 1 + up-to-4); a block must always hold one.
-    return max(env_positive_int("REPRO_SCHED_BLOCK", DEFAULT_CHUNK_CAP), 8)
-
-
-@dataclass
-class _MacroWindow:
-    """An in-flight macro measurement window, produced by
-    :meth:`Scheduler.begin_macro_window` and retired by
-    :meth:`Scheduler.end_macro_window`. Exists so the sweep-batch driver
-    (:mod:`repro.engine.sweeppath`) can interleave crossings of many
-    schedulers while sharing the exact per-window setup/teardown of the
-    per-point path."""
-
-    outcome: ScheduleOutcome
-    #: Slot indices of mains runnable in this window (their finishes are
-    #: this window's completion times).
-    window_slots: set
-    #: Bound compiled-step closure, or None for the pure-Python mirror.
-    step: Optional[object] = None
-    #: Counter arrays were seeded for the compiled step and must be
-    #: flushed back on exit.
-    seeded: bool = False
 
 
 class Scheduler:
@@ -202,16 +163,20 @@ class Scheduler:
                     f"core id {c.core_id} out of range for {n}-core kernel"
                 )
         self._macro: Optional[_MacroState] = None
-        self._mode: Optional[str] = None
-        #: Macro block-staging overrides (set before the first window).
-        #: The sweep-batch driver stages larger blocks than the
-        #: env-resolved default — block size never affects results (see
-        #: tests/engine/test_sched_equivalence.py), only refill cadence —
-        #: and bounds the line arena to ``block_chunks *
-        #: block_lines_per_chunk`` so N batched points stay memory-frugal
-        #: (``grow_lines`` recovers if a workload's chunks run longer).
-        self.block_chunks: Optional[int] = None
-        self.block_lines_per_chunk: Optional[int] = None
+
+    def open_window(self):
+        """Align every clock to the window start and return the runnable
+        mains plus a fresh outcome (shared with the chunk-at-a-time
+        reference, :func:`repro.bench.run_chunk_at_a_time`)."""
+        mains = [c for c in self.cores if c.is_main and not c.done]
+        if not mains:
+            raise SimulationError("no runnable main thread")
+        start_ns = max((c.clock_ns for c in self.cores), default=0.0)
+        # Align clocks: a freshly-added thread starts when the window opens.
+        for c in self.cores:
+            if c.clock_ns < start_ns:
+                c.clock_ns = start_ns
+        return mains, ScheduleOutcome(start_ns=start_ns)
 
     def run(
         self,
@@ -225,150 +190,13 @@ class Scheduler:
         generators); mains with finite generators may finish earlier.
         Interference (non-main) threads run as long as any main is active.
         """
-        mode = _resolve_sched_mode()
-        if self._mode is None:
-            # Pin the mode at the first window: thread streams cannot be
-            # migrated between modes (chunk mode holds position state in
-            # suspended generators, macro mode in fill_block instance
-            # state and queued blocks).
-            self._mode = mode
-        elif mode != self._mode:
-            raise SimulationError(
-                f"REPRO_SCHED changed from {self._mode!r} to {mode!r} "
-                "mid-run: scheduler mode is pinned at the first window"
-            )
-        if mode == "chunk":
-            return self._run_chunked(main_access_budget, max_total_accesses)
-        return self._run_macro(main_access_budget, max_total_accesses)
-
-    # -- shared window setup --------------------------------------------------
-
-    def _open_window(self, outcome_cls=ScheduleOutcome):
-        mains = [c for c in self.cores if c.is_main and not c.done]
-        if not mains:
-            raise SimulationError("no runnable main thread")
-        start_ns = max((c.clock_ns for c in self.cores), default=0.0)
-        # Align clocks: a freshly-added thread starts when the window opens.
-        for c in self.cores:
-            if c.clock_ns < start_ns:
-                c.clock_ns = start_ns
-        return mains, outcome_cls(start_ns=start_ns)
-
-    # -- chunk-at-a-time reference loop ---------------------------------------
-
-    def _run_chunked(
-        self,
-        main_access_budget: Optional[int],
-        max_total_accesses: int,
-    ) -> ScheduleOutcome:
-        mains, outcome = self._open_window()
-        window_start = {c.core_id: c.accesses for c in mains}
-        total = 0
-        run_chunk = self.fast.run_chunk
-
-        active_mains = len(mains)
-        runnable = [c for c in self.cores if not c.done]
-        with span("engine.schedule", cat="engine", mode="chunk"):
-            while active_mains > 0:
-                # Pick the least-advanced runnable core.
-                best = None
-                best_clock = float("inf")
-                for c in runnable:
-                    if c.clock_ns < best_clock:
-                        best = c
-                        best_clock = c.clock_ns
-                assert best is not None
-                chunk = next(best.gen, None)
-                if chunk is None or len(chunk) == 0:
-                    best.done = True
-                    best.finish_ns = best.clock_ns
-                    if best.is_main:
-                        outcome.main_finish_ns[best.core_id] = best.clock_ns
-                        active_mains -= 1
-                    runnable = [c for c in runnable if not c.done]
-                    continue
-                # Enforce the safety limit *before* dispatching the chunk, so
-                # a runaway configuration can never overshoot the budget and
-                # the error names the core that would have crossed it.
-                if total + len(chunk) > max_total_accesses:
-                    raise SimulationError(
-                        f"simulation would have exceeded {max_total_accesses} "
-                        f"accesses dispatching a {len(chunk)}-access chunk on "
-                        f"core {best.core_id} ({best.thread.name!r}) at "
-                        f"{total} total; likely a runaway interference-only "
-                        "configuration"
-                    )
-                best.clock_ns = run_chunk(best.core_id, chunk, best.clock_ns)
-                best.accesses += len(chunk)
-                total += len(chunk)
-                if (
-                    best.is_main
-                    and main_access_budget is not None
-                    and best.accesses - window_start[best.core_id] >= main_access_budget
-                ):
-                    best.done = True
-                    best.finish_ns = best.clock_ns
-                    outcome.main_finish_ns[best.core_id] = best.clock_ns
-                    active_mains -= 1
-                    runnable = [c for c in runnable if not c.done]
-
-        outcome.end_ns = max(outcome.main_finish_ns.values())
-        outcome.total_accesses = total
-        return outcome
-
-    # -- macro-stepped loop ---------------------------------------------------
-
-    def _run_macro(
-        self,
-        main_access_budget: Optional[int],
-        max_total_accesses: int,
-    ) -> ScheduleOutcome:
-        win = self.begin_macro_window(main_access_budget, max_total_accesses)
-        st = self._macro
-        assert st is not None
-        step = win.step
-        try:
-            with span(
-                "engine.schedule",
-                cat="engine",
-                mode="macro-c" if step is not None else "macro-py",
-            ):
-                while st.active_mains > 0:
-                    if step is not None:
-                        status = step(_MAX_STEPS)
-                    else:
-                        status = self._py_macro_step(st, _MAX_STEPS)
-                    if status == _ck.STEP_DONE:
-                        break
-                    self.macro_window_event(status)
-                    # STEP_MAXSTEPS: backstop tripped, just re-enter.
-        finally:
-            self.end_macro_window(win)
-        return self.finalize_macro_window(win)
-
-    def begin_macro_window(
-        self,
-        main_access_budget: Optional[int] = None,
-        max_total_accesses: int = 500_000_000,
-    ) -> _MacroWindow:
-        """Open a macro window: align clocks, mirror CoreStates into the
-        flat scheduling arrays, set per-main access goals, and bind the
-        compiled step (seeding its counter accumulators). The caller owns
-        the step loop — :meth:`_run_macro` for one scheduler, the
-        sweep-batch driver for many — and must retire the window with
-        :meth:`end_macro_window` / :meth:`finalize_macro_window`."""
-        mains, outcome = self._open_window()
+        mains, outcome = self.open_window()
         st = self._macro
         if st is None:
-            chunk_cap = self.block_chunks or _resolve_block_chunks()
-            chunk_cap = max(chunk_cap, 8)
-            line_cap = (
-                chunk_cap * self.block_lines_per_chunk
-                if self.block_lines_per_chunk
-                else None
-            )
-            st = self._macro = _MacroState(self.cores, chunk_cap, line_cap)
+            st = self._macro = _MacroState(self.cores)
 
+        # Mirror the CoreStates into the flat scheduling arrays and set
+        # the per-main access goals of this window.
         st.max_total = int(max_total_accesses)
         st.total = 0
         st.active_mains = len(mains)
@@ -396,7 +224,6 @@ class Scheduler:
         from .arraypath import bind_sched_step
 
         step = bind_sched_step(self.fast, st)
-        win = _MacroWindow(outcome=outcome, window_slots=window_slots, step=step)
         # The compiled step accumulates counters in SCH-side arrays (the
         # per-chunk Python `+=` order replicated in C); seed them from
         # the live CoreCounters so flushing back is a plain assignment
@@ -404,8 +231,38 @@ class Scheduler:
         # through fast.run_chunk, which updates counters itself.
         if step is not None:
             self._seed_counters(st)
-            win.seeded = True
-        return win
+        try:
+            with span(
+                "engine.schedule",
+                cat="engine",
+                mode="macro-c" if step is not None else "macro-py",
+            ):
+                while st.active_mains > 0:
+                    if step is not None:
+                        status = step(_MAX_STEPS)
+                    else:
+                        status = self._py_macro_step(st, _MAX_STEPS)
+                    if status == _ck.STEP_DONE:
+                        break
+                    self.macro_window_event(status)
+                    # STEP_MAXSTEPS: backstop tripped, just re-enter.
+        finally:
+            # Record whatever progress the window made, also after a
+            # mid-window error.
+            if step is not None:
+                self._flush_counters(st)
+            for i, cs in enumerate(self.cores):
+                cs.clock_ns = float(st.clock[i])
+                cs.accesses = int(st.accesses[i])
+                if (st.flags[i] & _ck.F_DONE) and not cs.done:
+                    cs.done = True
+                    cs.finish_ns = float(st.finish[i])
+                if cs.done and i in window_slots:
+                    outcome.main_finish_ns[cs.core_id] = float(st.finish[i])
+
+        outcome.end_ns = max(outcome.main_finish_ns.values())
+        outcome.total_accesses = st.total
+        return outcome
 
     def macro_window_event(self, status: int) -> None:
         """Service a non-terminal step status: refill the drained slot,
@@ -426,39 +283,13 @@ class Scheduler:
                 "likely a runaway interference-only configuration"
             )
 
-    def end_macro_window(self, win: _MacroWindow) -> None:
-        """Flush compiled-step counters and write scheduling-array state
-        back into the CoreStates. Safe to run after a mid-window error
-        (called from ``finally`` blocks): it records whatever progress
-        the window made."""
-        st = self._macro
-        assert st is not None
-        if win.seeded:
-            self._flush_counters(st)
-        for i, cs in enumerate(self.cores):
-            cs.clock_ns = float(st.clock[i])
-            cs.accesses = int(st.accesses[i])
-            if (st.flags[i] & _ck.F_DONE) and not cs.done:
-                cs.done = True
-                cs.finish_ns = float(st.finish[i])
-            if cs.done and i in win.window_slots:
-                win.outcome.main_finish_ns[cs.core_id] = float(st.finish[i])
-
-    def finalize_macro_window(self, win: _MacroWindow) -> ScheduleOutcome:
-        st = self._macro
-        assert st is not None
-        win.outcome.end_ns = max(win.outcome.main_finish_ns.values())
-        win.outcome.total_accesses = st.total
-        return win.outcome
-
     def _py_macro_step(self, st: _MacroState, max_steps: int) -> int:
         """Pure-Python mirror of the compiled ``sched_step`` (same
-        arrays, same statuses, same tie-break), used for the list
-        kernel, the Python array backend, and ``REPRO_NO_CSCHED=1``
-        differential runs. Chunks are zero-copy views into the queue
-        arena, executed through the kernel's ordinary ``run_chunk`` —
-        so event counters and finish times are bit-identical by
-        construction."""
+        arrays, same statuses, same tie-break), used for the list kernel
+        and the multi-socket node kernel. Chunks are zero-copy views
+        into the queue arena, executed through the kernel's ordinary
+        ``run_chunk`` — so event counters and finish times are
+        bit-identical by construction."""
         q = st.q
         run_chunk = self.fast.run_chunk
         flags, clock, accesses = st.flags, st.clock, st.accesses

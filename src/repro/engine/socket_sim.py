@@ -45,19 +45,10 @@ class SocketSimulator:
         socket: SocketConfig,
         seed: int = 0,
         track_owner: bool = False,
-        kernel=None,
     ):
         self.socket = socket
         self.seed = seed
-        # ``kernel`` injects an externally-built kernel (must match
-        # ``socket``'s geometry) — the sweep-batch session passes
-        # arena-backed ArraySockets here so N points share one
-        # structure-of-arrays allocation.
-        self.fast = (
-            kernel
-            if kernel is not None
-            else make_socket_kernel(socket, track_owner=track_owner)
-        )
+        self.fast = make_socket_kernel(socket, track_owner=track_owner)
         self.addrspace = AddressSpace(line_bytes=socket.line_bytes)
         self._threads: List[CoreState] = []
         self._started = False
@@ -137,11 +128,6 @@ class SocketSimulator:
         and return the window's observations."""
         self.fast.reset_counters()
         outcome = self._run(accesses)
-        return self._collect(outcome)
-
-    def _collect(self, outcome: ScheduleOutcome) -> MeasureResult:
-        """Assemble a window's observations from its schedule outcome
-        (shared by :meth:`measure` and the sweep-batch session)."""
         per_core: Dict[int, object] = {
             c.core_id: self.fast.counters[c.core_id].snapshot() for c in self._threads
         }

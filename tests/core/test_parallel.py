@@ -19,10 +19,11 @@ from repro.core import (
     ResultCache,
     RunnerTelemetry,
     cache_key,
+    default_runner,
     point_seed,
     trial_seed,
 )
-from repro.errors import MeasurementError
+from repro.errors import ConfigError, MeasurementError
 from repro.units import MiB
 from repro.workloads import ProbabilisticBenchmark, UniformDist
 
@@ -573,84 +574,47 @@ class TestAcceptance:
         assert warm_s < 0.40 * cold_serial_s
 
 
-def _batch_double(args_list):
-    """Module-level batch fn: one result per task, in task order."""
-    return [2 * a[0] for a in args_list]
+class TestDefaultRunnerEnv:
+    """``default_runner`` rejects bad runner environment values instead
+    of quietly falling back to a serial one-worker runner."""
 
+    @pytest.fixture(autouse=True)
+    def _clean_env(self, monkeypatch):
+        for var in ("REPRO_WORKERS", "REPRO_RUNNER_BACKEND", "REPRO_CACHE_DIR",
+                    "REPRO_JOURNAL", "REPRO_FAULT_SEED", "REPRO_POINT_TIMEOUT_S"):
+            monkeypatch.delenv(var, raising=False)
 
-def _batch_broken(args_list):
-    raise RuntimeError("batch kernel exploded")
+    def test_unset_and_blank_give_a_serial_runner(self, monkeypatch):
+        assert default_runner().backend == "serial"
+        monkeypatch.setenv("REPRO_WORKERS", " ")
+        monkeypatch.setenv("REPRO_RUNNER_BACKEND", "")
+        assert default_runner().backend == "serial"
 
+    def test_valid_values_are_honoured(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        runner = default_runner()
+        assert (runner.backend, runner.max_workers) == ("process", 3)
+        monkeypatch.setenv("REPRO_RUNNER_BACKEND", "thread")
+        assert default_runner().backend == "thread"
 
-def _batch_short(args_list):
-    return _batch_double(args_list)[:-1]
+    @pytest.mark.parametrize("value", ["turbo", "batched"])
+    def test_unknown_backend_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_RUNNER_BACKEND", value)
+        with pytest.raises(ConfigError) as exc:
+            default_runner()
+        msg = str(exc.value)
+        assert "REPRO_RUNNER_BACKEND" in msg and repr(value) in msg
+        for choice in ("'serial'", "'thread'", "'process'"):
+            assert choice in msg
 
-
-class TestBatchedBackend:
-    """The ``batched`` backend: grouping, fallbacks, telemetry."""
-
-    def _tasks(self, values, group="g", batch_fn=_batch_double):
-        return [
-            PointTask(fn=_double, args=(v,), group=group, batch_fn=batch_fn)
-            for v in values
-        ]
-
-    def test_group_runs_as_one_batch(self):
-        runner = PointRunner(backend="batched")
-        assert runner.run(self._tasks([3, 1, 2])) == [6, 2, 4]
-        tele = runner.last_telemetry
-        assert tele.batches == 1
-        assert tele.inline_fallbacks == 0
-        assert "1 batched groups" in tele.summary()
-
-    def test_groups_batch_independently(self):
-        runner = PointRunner(backend="batched")
-        tasks = self._tasks([1, 2], group="a") + self._tasks([3, 4], group="b")
-        assert runner.run(tasks) == [2, 4, 6, 8]
-        assert runner.last_telemetry.batches == 2
-
-    def test_ungrouped_tasks_run_serially_alongside_batches(self):
-        runner = PointRunner(backend="batched")
-        tasks = [PointTask(fn=_double, args=(5,))] + self._tasks([1, 2])
-        assert runner.run(tasks) == [10, 2, 4]
-        assert runner.last_telemetry.batches == 1
-
-    def test_single_member_group_skips_the_batch_machinery(self):
-        runner = PointRunner(backend="batched")
-        assert runner.run(self._tasks([7])) == [14]
-        assert runner.last_telemetry.batches == 0
-
-    def test_batch_fault_falls_back_to_per_point(self):
-        """A failing batch fn must not fail the campaign: every member
-        reruns through its own per-point fn."""
-        runner = PointRunner(backend="batched", retries=0)
-        assert runner.run(self._tasks([1, 2, 3], batch_fn=_batch_broken)) \
-            == [2, 4, 6]
-        tele = runner.last_telemetry
-        assert tele.batches == 0
-        assert tele.inline_fallbacks == 3
-
-    def test_wrong_length_batch_falls_back(self):
-        runner = PointRunner(backend="batched", retries=0)
-        assert runner.run(self._tasks([1, 2, 3], batch_fn=_batch_short)) \
-            == [2, 4, 6]
-        assert runner.last_telemetry.inline_fallbacks == 3
-
-    def test_cache_serves_batch_members_individually(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
-        runner = PointRunner(backend="batched", cache=cache)
-        tasks = [
-            PointTask(fn=_double, args=(v,), key=cache_key(v=v),
-                      group="g", batch_fn=_batch_double)
-            for v in (1, 2, 3)
-        ]
-        assert runner.run(tasks) == [2, 4, 6]
-        assert runner.last_telemetry.batches == 1
-        # Second run: every member is a cache hit; no batch forms.
-        assert runner.run(tasks) == [2, 4, 6]
-        tele = runner.last_telemetry
-        assert tele.cache_hits == 3
-        assert tele.batches == 0
+    @pytest.mark.parametrize("value", ["lots", "2.5", "-1"])
+    def test_bad_worker_count_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("REPRO_WORKERS", value)
+        with pytest.raises(ConfigError) as exc:
+            default_runner()
+        msg = str(exc.value)
+        assert "REPRO_WORKERS" in msg and repr(value) in msg
+        assert "non-negative integer" in msg
 
 
 class TestCachePutDurability:

@@ -1,15 +1,16 @@
 """Three-way kernel equivalence: object hierarchy ↔ list kernel ↔ array kernel.
 
-The array-native engine (``repro.engine.arraypath.ArraySocket``, with a
-compiled C hot loop when a toolchain is present and a pure-Python loop
-otherwise) must be *bit-identical* to the reference list kernel
-(``FastSocket``) on every event counter, and its per-chunk finish times
-must agree within 1e-9 relative tolerance (DESIGN.md; in practice the C
-loop mirrors CPython's operand order and is compiled with
+The array-native engine (``repro.engine.arraypath.ArraySocket``, a
+compiled C hot loop) must be *bit-identical* to the reference list
+kernel (``FastSocket``) on every event counter, and its per-chunk finish
+times must agree within 1e-9 relative tolerance (DESIGN.md; in practice
+the C loop mirrors CPython's operand order and is compiled with
 ``-ffp-contract=off``, so the times come out exactly equal on every
 platform tested). The list kernel in turn is validated against the
 object hierarchy in ``test_fastpath_equivalence.py``; the short
 hierarchy leg here closes the triangle directly for the array kernel.
+Without a C toolchain the array kernel does not exist and its tests
+skip.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import pytest
 
 from repro.config import PrefetchConfig, tiny_socket, xeon20mb
 from repro.engine import AccessChunk, ArraySocket, FastSocket, make_socket_kernel
-from repro.engine import _ckernel
-from repro.engine.arraypath import resolve_kernel_name
+from repro.engine import _ckernel, arraypath
 from repro.errors import ConfigError
 from repro.mem import DRAM, L1, L2, L3, SocketHierarchy
 from repro.workloads import table_ii_distributions
@@ -34,6 +34,8 @@ INT_COUNTERS = (
 NS_COUNTERS = ("stall_ns", "compute_ns", "elapsed_ns")
 
 REL_TOL = 1e-9
+
+needs_c = pytest.mark.skipif(not _ckernel.available(), reason="no C toolchain")
 
 
 def drive(kernel, chunks, cores=None):
@@ -79,6 +81,7 @@ def pair(socket, **kw):
 
 
 @pytest.mark.parametrize("dist_name", sorted(table_ii_distributions()))
+@needs_c
 def test_table_ii_distribution_traffic_matches(dist_name):
     """Every Table II access pattern produces bit-identical counters."""
     dist = table_ii_distributions()[dist_name]
@@ -98,6 +101,7 @@ def test_table_ii_distribution_traffic_matches(dist_name):
     assert_equivalent(fast, arr, drive(fast, chunks), drive(arr, chunks))
 
 
+@needs_c
 def test_dirty_writeback_equivalence():
     """Write traffic overflowing every level must evict dirty lines
     identically (writeback counter and arbiter writeback bytes)."""
@@ -115,6 +119,7 @@ def test_dirty_writeback_equivalence():
     assert fast.arbiter.writeback_bytes > 0
 
 
+@needs_c
 def test_multicore_shared_l3_owner_eviction():
     """Four cores fighting over the shared L3 with owner tracking on:
     cross-core evictions must transfer ownership identically."""
@@ -138,6 +143,7 @@ def test_multicore_shared_l3_owner_eviction():
     assert len(fast.l3_occupancy_by_owner()) > 1
 
 
+@needs_c
 def test_serialized_pointer_chase_chunks_match():
     """serialize=True (dependence-chained misses) charges full DRAM
     latency per miss; the timing paths must agree."""
@@ -152,6 +158,7 @@ def test_serialized_pointer_chase_chunks_match():
     assert_equivalent(fast, arr, drive(fast, chunks), drive(arr, chunks))
 
 
+@needs_c
 def test_prefetched_stream_with_hit_streaks_matches():
     """Prefetcher staging/consumption plus the array kernel's hit-streak
     fast path (repeated lines) against the list kernel."""
@@ -175,6 +182,7 @@ def test_prefetched_stream_with_hit_streaks_matches():
     assert fast.counters[0].prefetch_hits > 0
 
 
+@needs_c
 def test_lru_state_carries_across_chunk_boundaries():
     """The same trace split at different chunk granularities must leave
     identical cache state and counters — chunking is a scheduling
@@ -197,39 +205,12 @@ def test_lru_state_carries_across_chunk_boundaries():
     assert all(r == results[0] for r in results)
 
 
-def test_python_backend_matches_list_kernel():
-    """The pure-Python array backend (the no-compiler fallback) is exact
-    too, not just the C loop."""
-    socket = tiny_socket()
-    rng = np.random.default_rng(21)
-    chunks = [
-        AccessChunk(lines=rng.integers(0, 1500, size=100),
-                    is_write=(i % 2 == 0), prefetchable=False)
-        for i in range(10)
-    ]
-    fast = FastSocket(socket)
-    arr = ArraySocket(socket, backend="py")
-    assert_equivalent(fast, arr, drive(fast, chunks), drive(arr, chunks))
-
-
-@pytest.mark.skipif(not _ckernel.available(), reason="no C toolchain")
-def test_c_backend_matches_python_backend():
-    socket = tiny_socket()
-    rng = np.random.default_rng(22)
-    chunks = [
-        AccessChunk(lines=rng.integers(0, 1500, size=100), is_write=True)
-        for _ in range(10)
-    ]
-    py = ArraySocket(socket, backend="py")
-    c = ArraySocket(socket, backend="c")
-    assert_equivalent(py, c, drive(py, chunks), drive(c, chunks))
-
-
 # ---------------------------------------------------------------------------
 # Object hierarchy ↔ array kernel (closes the validation triangle)
 # ---------------------------------------------------------------------------
 
 
+@needs_c
 def test_array_kernel_hit_levels_match_object_hierarchy():
     """With the prefetcher off both are plain LRU hierarchies; per-access
     hit levels inferred from counter deltas must match the reference
@@ -255,41 +236,23 @@ def test_array_kernel_hit_levels_match_object_hierarchy():
 
 
 # ---------------------------------------------------------------------------
-# Kernel selection: SocketConfig knob and REPRO_KERNEL override
+# Kernel selection: the array kernel when C loads, else the list kernel
 # ---------------------------------------------------------------------------
 
 
 class TestKernelSelection:
-    def test_config_knob_selects_list_kernel(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        socket = replace(tiny_socket(), kernel="lists")
-        assert isinstance(make_socket_kernel(socket), FastSocket)
+    @needs_c
+    def test_default_is_arrays(self):
+        assert isinstance(make_socket_kernel(tiny_socket()), ArraySocket)
 
-    def test_default_is_arrays(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
-        socket = tiny_socket()
-        assert socket.kernel == "arrays"
-        assert resolve_kernel_name(socket) == "arrays"
-
-    def test_env_overrides_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "lists")
-        assert isinstance(make_socket_kernel(tiny_socket()), FastSocket)
-
-    def test_env_arrays_over_lists_config(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "arrays")
-        socket = replace(tiny_socket(), kernel="lists")
-        assert isinstance(make_socket_kernel(socket), ArraySocket)
-
-    def test_invalid_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "turbo")
-        with pytest.raises(ConfigError):
-            resolve_kernel_name(tiny_socket())
-
-    def test_invalid_config_value_rejected(self):
-        with pytest.raises(ConfigError):
-            replace(tiny_socket(), kernel="turbo")
+    def test_no_compiler_falls_back_to_list_kernel(self, monkeypatch):
+        monkeypatch.setattr(_ckernel, "load", lambda: None)
+        monkeypatch.setattr(arraypath, "_warned_fallback", False)
+        with pytest.warns(RuntimeWarning, match="list kernel"):
+            kernel = make_socket_kernel(tiny_socket())
+        assert isinstance(kernel, FastSocket)
 
     def test_explicit_c_backend_without_compiler_rejected(self, monkeypatch):
         monkeypatch.setattr(_ckernel, "load", lambda: None)
         with pytest.raises(ConfigError):
-            ArraySocket(tiny_socket(), backend="c")
+            ArraySocket(tiny_socket())

@@ -4,20 +4,21 @@ The node layer's gate (ISSUE: DESIGN decision 12): a 1-socket
 :class:`~repro.engine.node.NodeSimulator` must be *bit-identical* to
 :class:`~repro.engine.socket_sim.SocketSimulator` — every event counter
 equal as an integer, every time equal as a float (hex-exact) — under
-every scheduler mode. The facade dispatch, the placement machinery and
-the remote-fill accounting must all collapse to exact no-ops when there
-is only one socket.
+the chunk-at-a-time reference and both macro-step paths. The facade
+dispatch, the placement machinery and the remote-fill accounting must
+all collapse to exact no-ops when there is only one socket.
 
 Runnable under ``REPRO_NO_CKERNEL=1`` (CI's no-ckernel leg) — the modes
-then exercise the pure-Python chunk kernel and macro driver.
+then exercise the list kernel and the pure-Python macro-step.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.bench import run_chunk_at_a_time
 from repro.config import NodeConfig, tiny_socket
-from repro.engine import NodeSimulator, SocketSimulator
+from repro.engine import NodeSimulator, Scheduler, SocketSimulator, arraypath
 from repro.units import GiB
 from repro.workloads import BWThr, CSThr, HotColdProbe, StreamTriad, UniformDist
 from repro.workloads.synthetic import ProbabilisticBenchmark
@@ -30,20 +31,17 @@ INT_COUNTERS = (
 NS_COUNTERS = ("compute_ns", "stall_ns", "remote_ns", "elapsed_ns")
 
 #: Same triangle as test_sched_equivalence: chunk == macro-C == macro-py.
-MODES = (
-    ("chunk", {"REPRO_SCHED": "chunk"}),
-    ("macro", {"REPRO_SCHED": "macro"}),
-    ("macro-py", {"REPRO_SCHED": "macro", "REPRO_NO_CSCHED": "1"}),
-)
-
-SCHED_ENV_VARS = ("REPRO_SCHED", "REPRO_NO_CSCHED", "REPRO_SCHED_BLOCK")
+#: ``chunk`` runs both simulators' windows through the chunk-at-a-time
+#: reference; ``macro-py`` unbinds the compiled step, so the socket
+#: simulator runs the same pure-Python macro-step as the node always does.
+MODES = ("chunk", "macro", "macro-py")
 
 
-def _set_mode(monkeypatch, env):
-    for var in SCHED_ENV_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, val in env.items():
-        monkeypatch.setenv(var, val)
+def _set_mode(monkeypatch, mode):
+    if mode == "chunk":
+        monkeypatch.setattr(Scheduler, "run", run_chunk_at_a_time)
+    elif mode == "macro-py":
+        monkeypatch.setattr(arraypath, "bind_sched_step", lambda fast, st: None)
 
 
 def one_socket_node(socket) -> NodeConfig:
@@ -85,10 +83,10 @@ def fingerprint(res):
     return rows
 
 
-@pytest.mark.parametrize("label,env", MODES, ids=[m[0] for m in MODES])
+@pytest.mark.parametrize("mode", MODES)
 class TestOneSocketNodeBitIdentical:
-    def test_measure_window(self, monkeypatch, label, env):
-        _set_mode(monkeypatch, env)
+    def test_measure_window(self, monkeypatch, mode):
+        _set_mode(monkeypatch, mode)
         socket = tiny_socket(n_cores=4)
 
         ref = SocketSimulator(socket, seed=11)
@@ -103,8 +101,8 @@ class TestOneSocketNodeBitIdentical:
 
         assert fingerprint(res_ref) == fingerprint(res_node)
 
-    def test_run_to_completion(self, monkeypatch, label, env):
-        _set_mode(monkeypatch, env)
+    def test_run_to_completion(self, monkeypatch, mode):
+        _set_mode(monkeypatch, mode)
         socket = tiny_socket(n_cores=4)
 
         def finite():
@@ -124,8 +122,8 @@ class TestOneSocketNodeBitIdentical:
 
         assert fingerprint(res_ref) == fingerprint(res_node)
 
-    def test_no_remote_traffic_on_one_socket(self, monkeypatch, label, env):
-        _set_mode(monkeypatch, env)
+    def test_no_remote_traffic_on_one_socket(self, monkeypatch, mode):
+        _set_mode(monkeypatch, mode)
         sim = NodeSimulator(one_socket_node(tiny_socket(4)), seed=5)
         roster(sim)
         sim.warmup(3_000)
@@ -138,8 +136,7 @@ class TestOneSocketNodeBitIdentical:
             assert c.remote_ns == 0.0
 
 
-def test_per_socket_breakdown_matches_aggregate_one_socket(monkeypatch):
-    monkeypatch.delenv("REPRO_SCHED", raising=False)
+def test_per_socket_breakdown_matches_aggregate_one_socket():
     sim = NodeSimulator(one_socket_node(tiny_socket(4)), seed=2)
     roster(sim)
     sim.warmup(3_000)

@@ -1,11 +1,11 @@
-"""Scheduler-mode equivalence: macro-stepped vs chunk-at-a-time.
+"""Scheduler equivalence: macro-stepped vs chunk-at-a-time.
 
 The macro-stepped engine (C ``sched_step`` and its pure-Python mirror)
-must be *bit-identical* to the reference chunk-at-a-time scheduler:
-every event counter equal as integers, every clock and finish time equal
-as floats (hex-exact, not approx). This is the contract that lets the
-fast path be the default — any simulation result is reproducible under
-``REPRO_SCHED=chunk``.
+must be *bit-identical* to the chunk-at-a-time reference
+(:func:`repro.bench.run_chunk_at_a_time`): every event counter equal as
+integers, every clock and finish time equal as floats (hex-exact, not
+approx). This is the contract that lets the fast path be the only path
+— any simulation result is reproducible one chunk at a time.
 
 The suite drives all six workloads (the two paper interference threads,
 the probabilistic benchmark, STREAM triad, hot/cold probe and bubble)
@@ -22,16 +22,19 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 import pytest
 
+from repro.bench import run_chunk_at_a_time
 from repro.config import tiny_socket, xeon20mb
 from repro.engine import (
     AccessChunk,
     CoreState,
     FastSocket,
     Scheduler,
+    arraypath,
     make_socket_kernel,
+    scheduler,
 )
 from repro.engine.thread import SimThread, ThreadContext
-from repro.errors import ConfigError, SimulationError
+from repro.errors import SimulationError
 from repro.mem import AddressSpace
 from repro.workloads import BWThr, BubbleProbe, CSThr, HotColdProbe, StreamTriad
 from repro.workloads.distributions import UniformDist
@@ -43,23 +46,23 @@ INT_COUNTERS = (
 )
 NS_COUNTERS = ("compute_ns", "offsocket_ns", "stall_ns", "elapsed_ns")
 
-#: (mode label, env overrides). ``macro-py`` forces the pure-Python
-#: macro driver even when the C scheduler is compiled, closing the
-#: three-way triangle chunk == macro-C == macro-py in one process.
-MODES = (
-    ("chunk", {"REPRO_SCHED": "chunk"}),
-    ("macro", {"REPRO_SCHED": "macro"}),
-    ("macro-py", {"REPRO_SCHED": "macro", "REPRO_NO_CSCHED": "1"}),
-)
+#: Window runners: the chunk-at-a-time reference, the macro scheduler,
+#: and the macro scheduler forced onto its pure-Python step even when
+#: the C scheduler is compiled (``macro-py``), closing the three-way
+#: triangle chunk == macro-C == macro-py in one process.
+MODES = ("chunk", "macro", "macro-py")
 
-SCHED_ENV_VARS = ("REPRO_SCHED", "REPRO_NO_CSCHED", "REPRO_SCHED_BLOCK")
+_BIND_SCHED_STEP = arraypath.bind_sched_step
 
 
-def _set_mode(monkeypatch, env):
-    for var in SCHED_ENV_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, val in env.items():
-        monkeypatch.setenv(var, val)
+def window_runner(monkeypatch, mode):
+    """The ``run(sched, main_access_budget=..., max_total_accesses=...)``
+    callable for ``mode``."""
+    if mode == "chunk":
+        return run_chunk_at_a_time
+    bind = _BIND_SCHED_STEP if mode == "macro" else (lambda fast, st: None)
+    monkeypatch.setattr(arraypath, "bind_sched_step", bind)
+    return Scheduler.run
 
 
 def build_sched(threads_and_flags, socket=None, kernel="arrays", seed0=7):
@@ -141,11 +144,11 @@ def all_workloads():
     ]
 
 
-def run_windows(sched, budgets):
-    outcomes = [sched.run(main_access_budget=budgets[0])]
+def run_windows(run, sched, budgets):
+    outcomes = [run(sched, main_access_budget=budgets[0])]
     for b in budgets[1:]:
         sched.reopen_mains()
-        outcomes.append(sched.run(main_access_budget=b))
+        outcomes.append(run(sched, main_access_budget=b))
     return outcomes
 
 
@@ -154,11 +157,11 @@ class TestModeEquivalence:
     def test_all_six_workloads_bit_identical(self, monkeypatch, kernel):
         """chunk == macro-C == macro-py over two windows, both kernels."""
         prints = {}
-        for label, env in MODES:
-            _set_mode(monkeypatch, env)
+        for mode in MODES:
+            run = window_runner(monkeypatch, mode)
             sched = build_sched(all_workloads(), socket=xeon20mb(), kernel=kernel)
-            outcomes = run_windows(sched, [6_000, 8_000])
-            prints[label] = fingerprint(sched, outcomes)
+            outcomes = run_windows(run, sched, [6_000, 8_000])
+            prints[mode] = fingerprint(sched, outcomes)
         assert prints["macro"] == prints["chunk"]
         assert prints["macro-py"] == prints["chunk"]
 
@@ -176,11 +179,11 @@ class TestModeEquivalence:
             ]
 
         prints = {}
-        for label, env in MODES:
-            _set_mode(monkeypatch, env)
+        for mode in MODES:
+            run = window_runner(monkeypatch, mode)
             sched = build_sched(shape(), socket=xeon20mb())
-            outcomes = run_windows(sched, [2_500, 3_000])
-            prints[label] = fingerprint(sched, outcomes)
+            outcomes = run_windows(run, sched, [2_500, 3_000])
+            prints[mode] = fingerprint(sched, outcomes)
         assert prints["macro"] == prints["chunk"]
         assert prints["macro-py"] == prints["chunk"]
 
@@ -194,25 +197,26 @@ class TestModeEquivalence:
             ]
 
         prints = {}
-        for label, env in MODES:
-            _set_mode(monkeypatch, env)
+        for mode in MODES:
+            run = window_runner(monkeypatch, mode)
             sched = build_sched(shape())
-            outcomes = run_windows(sched, [500, 700])
-            prints[label] = fingerprint(sched, outcomes)
+            outcomes = run_windows(run, sched, [500, 700])
+            prints[mode] = fingerprint(sched, outcomes)
         assert prints["macro"] == prints["chunk"]
         assert prints["macro-py"] == prints["chunk"]
 
     def test_small_block_size_bit_identical(self, monkeypatch):
-        """REPRO_SCHED_BLOCK is clamped so multi-chunk cycles always fit;
-        even the smallest block produces identical results."""
-        _set_mode(monkeypatch, {"REPRO_SCHED": "chunk"})
+        """No result depends on the block size: the smallest block that
+        still holds one workload cycle (8 chunks) matches chunk-at-a-time
+        exactly."""
         ref_sched = build_sched(all_workloads(), socket=xeon20mb())
-        ref = fingerprint(ref_sched, run_windows(ref_sched, [3_000]))
-        _set_mode(
-            monkeypatch, {"REPRO_SCHED": "macro", "REPRO_SCHED_BLOCK": "1"}
+        ref = fingerprint(
+            ref_sched, run_windows(run_chunk_at_a_time, ref_sched, [3_000])
         )
+        monkeypatch.setattr(scheduler, "DEFAULT_CHUNK_CAP", 8)
         small = build_sched(all_workloads(), socket=xeon20mb())
-        assert fingerprint(small, run_windows(small, [3_000])) == ref
+        assert fingerprint(small, run_windows(Scheduler.run, small, [3_000])) == ref
+        assert small._macro.q.chunk_cap == 8
 
 
 class TestMacroEdgeCases:
@@ -220,11 +224,11 @@ class TestMacroEdgeCases:
         """A window budget far smaller than one staged block stops at the
         same access count as the chunk path (chunk granularity)."""
         counts = {}
-        for label, env in MODES:
-            _set_mode(monkeypatch, env)
+        for mode in MODES:
+            run = window_runner(monkeypatch, mode)
             sched = build_sched([(FixedThread(n_chunks=None, size=10), True)])
-            sched.run(main_access_budget=95)
-            counts[label] = sched.cores[0].accesses
+            run(sched, main_access_budget=95)
+            counts[mode] = sched.cores[0].accesses
         assert counts["chunk"] == 100  # 10 chunks of 10; >= budget after 10th
         assert counts["macro"] == counts["chunk"]
         assert counts["macro-py"] == counts["chunk"]
@@ -233,38 +237,38 @@ class TestMacroEdgeCases:
         """A finite generator shorter than one block finishes with the
         exact chunk-path finish time."""
         prints = {}
-        for label, env in MODES:
-            _set_mode(monkeypatch, env)
+        for mode in MODES:
+            run = window_runner(monkeypatch, mode)
             sched = build_sched([(FixedThread(n_chunks=10, size=9), True)])
-            outcomes = run_windows(sched, [None])
+            outcomes = run_windows(run, sched, [None])
             assert sched.cores[0].accesses == 90
-            prints[label] = fingerprint(sched, outcomes)
+            prints[mode] = fingerprint(sched, outcomes)
         assert prints["macro"] == prints["chunk"]
         assert prints["macro-py"] == prints["chunk"]
 
     def test_reopen_after_exhaustion_completes_immediately(self, monkeypatch):
         """A main whose generator ran dry stays finished when the window
         reopens — same as calling next() on a spent generator."""
-        for label, env in MODES:
-            _set_mode(monkeypatch, env)
+        for mode in MODES:
+            run = window_runner(monkeypatch, mode)
             sched = build_sched([
                 (FixedThread(n_chunks=5, size=10, name="spent"), True),
                 (FixedThread(n_chunks=None, size=10, name="intf"), False),
             ])
-            sched.run()
+            run(sched)
             first = sched.cores[0].accesses
             sched.reopen_mains()
-            outcome = sched.run(main_access_budget=1_000)
-            assert sched.cores[0].accesses == first == 50, label
-            assert sched.cores[0].done, label
-            assert 0 in outcome.main_finish_ns, label
+            outcome = run(sched, main_access_budget=1_000)
+            assert sched.cores[0].accesses == first == 50, mode
+            assert sched.cores[0].done, mode
+            assert 0 in outcome.main_finish_ns, mode
 
     def test_interference_runaway_names_offending_core(self, monkeypatch):
         """The pre-dispatch safety limit fires before the crossing chunk
         executes and the error names the interference core, in every
         scheduler mode."""
-        for label, env in MODES:
-            _set_mode(monkeypatch, env)
+        for mode in MODES:
+            run = window_runner(monkeypatch, mode)
             # Main's first chunk costs ~5000 ops, so after the t=0
             # tie-break the interference core (100-access chunks) is
             # always least-advanced and crosses max_total first.
@@ -273,44 +277,16 @@ class TestMacroEdgeCases:
                 (FixedThread(n_chunks=None, size=100, ops=1, name="intf"), False),
             ])
             with pytest.raises(SimulationError, match=r"core 1 \('intf'\)"):
-                sched.run(main_access_budget=10_000, max_total_accesses=250)
-            assert sched.fast.counters[1].accesses <= 250, label
+                run(sched, main_access_budget=10_000, max_total_accesses=250)
+            assert sched.fast.counters[1].accesses <= 250, mode
 
     def test_runaway_total_never_overshoots(self, monkeypatch):
-        for label, env in MODES:
-            _set_mode(monkeypatch, env)
+        for mode in MODES:
+            run = window_runner(monkeypatch, mode)
             sched = build_sched([(FixedThread(n_chunks=None, size=10), True)])
             with pytest.raises(SimulationError, match="exceeded"):
-                sched.run(main_access_budget=10_000, max_total_accesses=95)
-            assert sched.cores[0].accesses <= 95, label
-
-
-class TestModePinning:
-    def test_mode_is_pinned_across_windows(self, monkeypatch):
-        _set_mode(monkeypatch, {"REPRO_SCHED": "macro"})
-        sched = build_sched([(FixedThread(n_chunks=None, size=10), True)])
-        sched.run(main_access_budget=100)
-        sched.reopen_mains()
-        monkeypatch.setenv("REPRO_SCHED", "chunk")
-        with pytest.raises(SimulationError, match="pinned"):
-            sched.run(main_access_budget=100)
-
-    def test_unknown_mode_rejected(self, monkeypatch):
-        # Env-knob validation errors are ConfigError everywhere
-        # (repro.engine.envconf), not SimulationError.
-        _set_mode(monkeypatch, {"REPRO_SCHED": "warp"})
-        sched = build_sched([(FixedThread(n_chunks=1), True)])
-        with pytest.raises(ConfigError, match="REPRO_SCHED"):
-            sched.run()
-
-    def test_bad_block_size_rejected(self, monkeypatch):
-        for bad in ("0", "-4", "lots"):
-            _set_mode(
-                monkeypatch, {"REPRO_SCHED": "macro", "REPRO_SCHED_BLOCK": bad}
-            )
-            sched = build_sched([(FixedThread(n_chunks=1), True)])
-            with pytest.raises(ConfigError, match="REPRO_SCHED_BLOCK"):
-                sched.run()
+                run(sched, main_access_budget=10_000, max_total_accesses=95)
+            assert sched.cores[0].accesses <= 95, mode
 
 
 class TestRosterTieBreak:
@@ -331,12 +307,11 @@ class TestRosterTieBreak:
         sched = Scheduler(fast, cores)
         assert [c.core_id for c in sched.cores] == [1, 3, 5]
 
-    @pytest.mark.parametrize("env", [e for _, e in MODES],
-                             ids=[l for l, _ in MODES])
-    def test_construction_order_does_not_change_results(self, monkeypatch, env):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_construction_order_does_not_change_results(self, monkeypatch, mode):
         """The t=0 tie-break goes to the lowest core id regardless of the
         order CoreStates were handed to the Scheduler."""
-        _set_mode(monkeypatch, env)
+        run = window_runner(monkeypatch, mode)
 
         def run_order(order):
             socket = tiny_socket(n_cores=8)
@@ -353,6 +328,6 @@ class TestRosterTieBreak:
                     core_id=cid, thread=t, gen=t.chunks(), is_main=True
                 )
             sched = Scheduler(fast, [cores[c] for c in order])
-            return fingerprint(sched, run_windows(sched, [400]))
+            return fingerprint(sched, run_windows(run, sched, [400]))
 
         assert run_order([2, 0, 1]) == run_order([0, 1, 2])

@@ -170,8 +170,8 @@ class TestBenchShapes:
                    "--out", str(tmp_path / "b.json")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert "unknown bench shape(s) ['rnd']" in err
-        for known in ("'random'", "'mc_csthr'", "'sweep'"):
+        assert "unknown bench shape(s) ['rnd', 'sweep']" in err
+        for known in ("'random'", "'mc_csthr'"):
             assert known in err
 
     def test_empty_selection_rejected(self, capsys, tmp_path):
@@ -188,7 +188,8 @@ class TestBenchShapes:
         assert rc == 0
         baseline = json.loads(out.read_text())
         assert "random" in baseline["accesses_per_sec"]
-        assert baseline["schema_version"] == 3
+        assert baseline["schema_version"] == 4
+        assert "sweep_accesses_per_sec" not in baseline
 
 
 class TestServiceVerbs:

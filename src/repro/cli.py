@@ -33,14 +33,9 @@ Commands
     point-latency percentiles, cache/journal hit timelines, and a
     worker-utilization Gantt.
 ``submit --root DIR --app NAME --preset NAME --kind cs|bw --ks 0,1,2
-[--tenant T] [--priority N] [--deadline-s S] [--param k=v ...]``
+[--tenant T] [--param k=v ...]``
     Submit one measurement job to the durable service queue rooted at
-    DIR. Admission control answers immediately: past the queue bound or
-    the tenant quota the submission is *rejected* (exit 1) rather than
-    queued unboundedly. ``--priority`` picks the scheduling class
-    (higher first); ``--deadline-s`` sets a completion deadline —
-    within a class the broker serves the earliest deadline first, and a
-    job whose deadline expires before it is leased is dead-lettered.
+    DIR (created if missing); jobs are leased in submission order.
 ``serve --root DIR [--agents N] [--inline] [--lease-s S]
 [--retry-budget N] [--timeout-s S]``
     Drain the queue: supervise a fleet of N agent processes (restarting
@@ -48,15 +43,17 @@ Commands
     dead-lettered. ``--inline`` runs a single in-process agent instead
     — same broker, journals and fences, no subprocesses.
 ``queue --root DIR [--job ID]``
-    Show queue statistics, the per-job table, and the dead-letter list;
-    with ``--job`` print one job's full state.
+    Show queue statistics, the per-job table, and the dead-letter list,
+    read from the broker's event log; with ``--job`` print one job's
+    full state.
 ``query --root DIR [--tenant T] [--app A] [--preset P] [--kind cs|bw]
-[--k-min N] [--k-max N] [--job ID] [--jobs] [--json] [--backfill]``
-    Query the SQLite results store: one row per interference point
+[--k-min N] [--k-max N] [--job ID] [--json] [--backfill]``
+    Query the SQLite point index: one row per interference point
     (k, slowdown, time per access, trace id), filtered by tenant, app
-    profile, preset, sweep kind or k-range; ``--jobs`` lists job rows
-    instead, ``--json`` emits machine-readable rows, ``--backfill``
-    first (re)builds store rows from the per-job JSON artifacts.
+    profile, preset, sweep kind or k-range; ``--json`` emits
+    machine-readable rows, ``--backfill`` first writes the rows of done
+    jobs the index lacks from their JSON artifacts. ``queue`` and
+    ``query`` only read: both exit 1 when DIR holds no service queue.
 ``version``
     Print the package version.
 
@@ -77,7 +74,7 @@ from typing import Callable, Dict, Optional, Tuple
 from . import __version__
 from .analysis import ExperimentRecord
 from .config import xeon20mb
-from .errors import ReproError
+from .errors import ReproError, ServiceError
 
 
 def _registry() -> Dict[str, Tuple[str, Callable, Optional[Callable]]]:
@@ -297,24 +294,12 @@ def _build_parser() -> argparse.ArgumentParser:
     submit_p.add_argument("--measure", type=int, default=15_000,
                           metavar="N", help="measured accesses per point")
     submit_p.add_argument("--tenant", default="anonymous",
-                          help="tenant identity for per-tenant quotas")
-    submit_p.add_argument("--priority", type=int, default=0, metavar="N",
-                          help="scheduling class; higher is served first "
-                          "(default: 0)")
-    submit_p.add_argument("--deadline-s", type=float, default=None,
-                          metavar="S",
-                          help="completion deadline in seconds from now; "
-                          "EDF within a priority class, dead-lettered if "
-                          "it expires before the job is leased")
+                          help="tenant label, a query filter")
     submit_p.add_argument(
         "--param", action="append", default=[], metavar="K=V",
         help="app-profile parameter (repeatable), e.g. "
         "--param buffer_bytes=52428800 --param dist=zipf",
     )
-    submit_p.add_argument("--max-active", type=int, default=None,
-                          help="queue bound when creating a new queue")
-    submit_p.add_argument("--max-per-tenant", type=int, default=None,
-                          help="per-tenant quota when creating a new queue")
 
     serve_p = sub.add_parser(
         "serve", help="drain the service queue with a supervised fleet",
@@ -345,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="print one job's full state")
 
     query_p = sub.add_parser(
-        "query", help="query the service's results store",
+        "query", help="query the service's point index",
     )
     query_p.add_argument("--root", required=True, metavar="DIR")
     query_p.add_argument("--tenant", default=None)
@@ -359,14 +344,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="lowest interference level (inclusive)")
     query_p.add_argument("--k-max", type=int, default=None, metavar="N",
                          help="highest interference level (inclusive)")
-    query_p.add_argument("--jobs", action="store_true",
-                         help="list job rows instead of point rows")
     query_p.add_argument("--json", action="store_true", dest="as_json",
                          help="emit rows as JSON instead of a table")
     query_p.add_argument(
         "--backfill", action="store_true",
-        help="first (re)build store rows from the broker state and the "
-        "per-job JSON artifacts (repairs a deleted or stale store)",
+        help="first write the rows of done jobs the store lacks from "
+        "their JSON artifacts (repairs a deleted store)",
     )
     return parser
 
@@ -395,14 +378,8 @@ def _parse_app_params(pairs: list) -> Dict[str, object]:
 
 
 def _cmd_submit(args: argparse.Namespace) -> int:
-    from .service import AdmissionPolicy, DurableBroker, JobSpec
+    from .service import DurableBroker, JobSpec
 
-    admission = None
-    if args.max_active is not None or args.max_per_tenant is not None:
-        admission = AdmissionPolicy(
-            max_active=args.max_active or 64,
-            max_active_per_tenant=args.max_per_tenant or 16,
-        )
     try:
         ks = tuple(int(k) for k in args.ks.split(",") if k.strip())
     except ValueError:
@@ -412,9 +389,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         seed=args.seed, warmup_accesses=args.warmup,
         measure_accesses=args.measure,
         app_params=_parse_app_params(args.param),
-        priority=args.priority, deadline_s=args.deadline_s,
     )
-    broker = DurableBroker(args.root, admission=admission)
+    broker = DurableBroker(args.root)
     job_id = broker.submit(spec, tenant=args.tenant)
     job = broker.job(job_id)
     print(f"trace: {job.trace_id}", file=sys.stderr)
@@ -460,9 +436,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _require_queue(root: str) -> None:
+    """The read-only verbs must not create a service: a mistyped
+    ``--root`` is an error, not an empty queue."""
+    if not (Path(root) / "queue.jsonl").exists():
+        raise ServiceError(f"no service queue at {root}")
+
+
 def _cmd_queue(args: argparse.Namespace) -> int:
     from .service import DurableBroker
 
+    _require_queue(args.root)
     broker = DurableBroker(args.root)
     if args.job is not None:
         job = broker.job(args.job)
@@ -471,11 +455,7 @@ def _cmd_queue(args: argparse.Namespace) -> int:
             return 1
         print(f"{job.id}  state={job.state} tenant={job.tenant} "
               f"attempts={job.attempts} failures={job.failures}")
-        print(f"  trace: {job.trace_id}  priority: {job.priority}"
-              + (f"  deadline_at: {job.deadline_at:.3f}"
-                 if job.deadline_at is not None else ""))
-        if job.dead_reason:
-            print(f"  dead_reason: {job.dead_reason}")
+        print(f"  trace: {job.trace_id}")
         print(f"  spec: {job.spec.to_dict()}")
         if job.result_path:
             print(f"  result: {job.result_path}")
@@ -489,8 +469,6 @@ def _cmd_queue(args: argparse.Namespace) -> int:
         return 0
     stats = broker.stats()
     print(f"jobs: {stats['jobs']}  by state: {stats['by_state']}")
-    print(f"active by tenant: {stats['active_by_tenant']}")
-    print(f"admission: {stats['admission']}")
     for job in broker.jobs():
         line = (f"  {job.id}  {job.state:7s} tenant={job.tenant} "
                 f"attempts={job.attempts}")
@@ -510,28 +488,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
     from .service import DurableBroker, ResultsStore
 
+    _require_queue(args.root)
     store = ResultsStore(args.root)
     if args.backfill:
         n = store.backfill(DurableBroker(args.root))
         print(f"backfilled {n} job(s) from the broker state and JSON "
               "artifacts", file=sys.stderr)
-    if args.jobs:
-        rows = store.query_jobs(
-            tenant=args.tenant, app=args.app, preset=args.preset,
-            kind=args.kind, job_id=args.job,
-        )
-        if args.as_json:
-            print(json.dumps(rows, sort_keys=True, indent=1))
-            return 0
-        print(f"{'job':22s} {'state':7s} {'tenant':10s} {'app':8s} "
-              f"{'preset':9s} {'kind':4s} pri  trace")
-        for row in rows:
-            print(f"{row['job_id']:22s} {row['state']:7s} "
-                  f"{row['tenant']:10s} {row['app']:8s} "
-                  f"{row['preset']:9s} {row['kind']:4s} "
-                  f"{row['priority']:3d}  {row['trace_id']}")
-        print(f"{len(rows)} job row(s)", file=sys.stderr)
-        return 0
     rows = store.query_points(
         tenant=args.tenant, app=args.app, preset=args.preset,
         kind=args.kind, job_id=args.job,
@@ -647,8 +609,6 @@ def main(argv: Optional[list] = None) -> int:
         return 0
 
     if args.command in ("submit", "serve", "queue", "query"):
-        from .errors import ServiceError
-
         handler = {"submit": _cmd_submit, "serve": _cmd_serve,
                    "queue": _cmd_queue, "query": _cmd_query}[args.command]
         try:

@@ -40,13 +40,6 @@ class ServiceError(ReproError, RuntimeError):
     """The measurement service could not honour a request."""
 
 
-class ServiceOverloaded(ServiceError):
-    """Admission control rejected a submission: the queue is at its
-    bound or the tenant exhausted its quota. An explicit, immediate
-    answer — the service sheds load rather than letting submitters hang
-    on a queue that cannot drain fast enough."""
-
-
 class StaleLease(ServiceError):
     """A lease operation (renew/complete/fail) arrived from an agent
     that no longer owns the job — its lease expired and the job was

@@ -6,8 +6,6 @@ Turns the single-process campaign stack (:class:`~repro.core.parallel.PointRunne
 
 - :mod:`~repro.service.jobs` — declarative :class:`JobSpec` submissions
   (app profile + socket preset + sweep spec, pure data).
-- :mod:`~repro.service.admission` — :class:`AdmissionPolicy` bounds with
-  explicit load shedding and per-tenant quotas.
 - :mod:`~repro.service.broker` — :class:`DurableBroker`, the append-only
   event-log queue with lease/heartbeat/fencing semantics and a
   dead-letter state for poisoned jobs.
@@ -19,32 +17,21 @@ Turns the single-process campaign stack (:class:`~repro.core.parallel.PointRunne
 - :mod:`~repro.service.client` — :class:`ServiceClient`, the synchronous
   in-process consumer.
 - :mod:`~repro.service.store` — :class:`ResultsStore`, the SQLite (WAL)
-  queryable projection of the per-job artifacts behind ``repro query``.
+  point index of the per-job artifacts behind ``repro query``.
 
-Wire-in points: ``repro submit`` / ``repro serve`` / ``repro queue`` in
-the CLI, the ``service-smoke`` and chaos CI jobs, and
+Wire-in points: ``repro submit`` / ``repro serve`` / ``repro queue`` /
+``repro query`` in the CLI, the ``service-smoke`` and chaos CI jobs, and
 ``scripts/service_chaos_check.py`` for the SIGKILL drill.
 """
 
-from .admission import AdmissionPolicy
 from .agent import MeasurementAgent
-from .broker import (
-    DEAD,
-    DEAD_DEADLINE,
-    DEAD_RETRIES,
-    DONE,
-    LEASED,
-    QUEUED,
-    DurableBroker,
-    JobRecord,
-)
+from .broker import DEAD, DONE, LEASED, QUEUED, DurableBroker, JobRecord
 from .client import ServiceClient
 from .jobs import APP_PROFILES, PRESETS, JobSpec
 from .store import STORE_SCHEMA, ResultsStore
 from .supervisor import AgentHandle, Supervisor
 
 __all__ = [
-    "AdmissionPolicy",
     "MeasurementAgent",
     "DurableBroker",
     "JobRecord",
@@ -52,8 +39,6 @@ __all__ = [
     "LEASED",
     "DONE",
     "DEAD",
-    "DEAD_RETRIES",
-    "DEAD_DEADLINE",
     "ServiceClient",
     "JobSpec",
     "APP_PROFILES",

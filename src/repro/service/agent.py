@@ -232,12 +232,12 @@ class MeasurementAgent:
                 telemetry=dataclasses.asdict(tele) if tele else {},
             )
             self.jobs_run += 1
-            # The queryable projection, written only after the fenced
+            # The point index, written only after the fenced
             # completion was accepted. Derived data: a crash or I/O
             # error here loses nothing ('repro query --backfill'
             # rebuilds the rows from the artifact).
             try:
-                self.store.record_job(self.broker.job(job.id), payload)
+                self.store.record_job(job, payload)
             except Exception:  # noqa: BLE001 - artifact is authoritative
                 self.store_errors += 1
         except StaleLease:

@@ -19,15 +19,9 @@ view is rebuilt from the shared truth before it writes.
 
 Lease protocol (the exactly-once backbone, DESIGN.md decision 14):
 
-- :meth:`DurableBroker.lease` grants the most urgent eligible queued job
-  to an agent with a deadline; the grant is fenced by ``(agent, attempt)``.
-  Dispatch order (DESIGN.md decision 15): highest ``JobSpec.priority``
-  class first, earliest completion deadline first inside a class
-  (deadline-less jobs after all deadlined ones), submission order as the
-  final tie-break — so the default (no priorities, no deadlines) remains
-  exactly the old FIFO. A queued job whose completion deadline has
-  already passed is dead-lettered with a distinct ``deadline`` reason
-  instead of being run uselessly late.
+- :meth:`DurableBroker.lease` grants the first queued job in submission
+  order whose requeue backoff has passed to an agent with a deadline;
+  the grant is fenced by ``(agent, attempt)``.
 - The agent heartbeats via :meth:`renew`; a renew/complete/fail carrying
   a stale fence (the lease expired and the job was re-leased) raises
   :class:`~repro.errors.StaleLease` — the zombie's result is refused.
@@ -46,7 +40,6 @@ fence-holding attempt's completion is accepted.
 from __future__ import annotations
 
 import json
-import math
 import os
 import threading
 import time
@@ -65,22 +58,16 @@ from ..core.journal import append_jsonl, truncate_torn_tail
 from ..core.parallel import backoff_delay
 from ..errors import ServiceError, StaleLease
 from ..obs.tracer import span as trace_span
-from .admission import AdmissionPolicy
 from .jobs import JobSpec
 
-#: Bump when the queue-log event layout changes.
-QUEUE_FORMAT = 2
+#: Bump when the queue-log event layout changes. Format 3 dropped the
+#: admission policy, priorities and deadlines; older logs replay with
+#: those fields ignored.
+QUEUE_FORMAT = 3
 
 #: Job states.
 QUEUED, LEASED, DONE, DEAD = "queued", "leased", "done", "dead"
 ACTIVE_STATES = (QUEUED, LEASED)
-
-#: Dead-letter reasons (the ``reason`` field of a ``dead`` event).
-DEAD_RETRIES, DEAD_DEADLINE = "retries", "deadline"
-
-#: State-history entries kept per job (renews excluded — a heartbeat is
-#: not a state transition and would swamp the history).
-HISTORY_LIMIT = 32
 
 
 @dataclass
@@ -102,32 +89,17 @@ class JobRecord:
     #: Requeue backoff gate: not leased again before this time.
     not_before: float = 0.0
     submitted_at: float = 0.0
-    finished_at: Optional[float] = None
     #: Most recent error strings, newest last (bounded).
     errors: List[str] = field(default_factory=list)
     result_path: Optional[str] = None
     telemetry: Dict[str, Any] = field(default_factory=dict)
-    #: Scheduling class (higher = served first); from the spec.
-    priority: int = 0
-    #: Absolute completion deadline (wall clock), ``None`` = none.
-    deadline_at: Optional[float] = None
     #: Per-submission correlation id threaded through every event and
     #: every ``repro.obs`` span the job touches.
     trace_id: str = ""
-    #: Why a DEAD job died: ``retries`` or ``deadline``.
-    dead_reason: Optional[str] = None
-    #: Compact state history: ``[{"event", "t", ...}, ...]`` — every
-    #: durable transition except renews, newest last (bounded).
-    history: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def active(self) -> bool:
         return self.state in ACTIVE_STATES
-
-    def record_history(self, event: str, t: float, **extra: Any) -> None:
-        entry: Dict[str, Any] = {"event": event, "t": t}
-        entry.update(extra)
-        self.history = (self.history + [entry])[-HISTORY_LIMIT:]
 
 
 class DurableBroker:
@@ -138,10 +110,6 @@ class DurableBroker:
     root:
         Service root directory; holds ``queue.jsonl`` + ``queue.lock``
         (agents put caches/journals/results in sibling subdirectories).
-    admission:
-        Queue bounds; persisted in the log's ``config`` record when this
-        instance *creates* the queue, adopted from it otherwise — every
-        submitter enforces the same policy.
     lease_s:
         Lease duration granted per :meth:`lease`/:meth:`renew`.
     retry_budget:
@@ -157,7 +125,6 @@ class DurableBroker:
     def __init__(
         self,
         root: str | Path,
-        admission: Optional[AdmissionPolicy] = None,
         lease_s: float = 30.0,
         retry_budget: int = 3,
         backoff_s: float = 0.25,
@@ -173,7 +140,6 @@ class DurableBroker:
         self.root.mkdir(parents=True, exist_ok=True)
         self.queue_path = self.root / "queue.jsonl"
         self.lock_path = self.root / "queue.lock"
-        self.admission = admission
         self.lease_s = float(lease_s)
         self.retry_budget = int(retry_budget)
         self.backoff_s = float(backoff_s)
@@ -254,13 +220,6 @@ class DurableBroker:
 
     def _apply(self, event: Dict[str, Any]) -> None:
         kind = event.get("event")
-        if kind == "config":
-            persisted = event.get("admission")
-            if persisted:
-                # The queue's recorded policy wins: all submitters must
-                # enforce identical bounds or the bound means nothing.
-                self.admission = AdmissionPolicy.from_dict(persisted)
-            return
         job_id = event.get("id")
         if kind == "submit":
             self._submits += 1
@@ -269,46 +228,31 @@ class DurableBroker:
             except ServiceError:
                 return  # malformed durable spec: unreplayable, skip
             if job_id and job_id not in self._jobs:
-                t = float(event.get("t", 0.0))
-                deadline_at = event.get("deadline_at")
-                if deadline_at is None and spec.deadline_s is not None:
-                    deadline_at = t + spec.deadline_s
-                job = JobRecord(
+                self._jobs[job_id] = JobRecord(
                     id=job_id,
                     spec=spec,
                     tenant=str(event.get("tenant", "anonymous")),
-                    submitted_at=t,
-                    priority=int(event.get("priority", spec.priority)),
-                    deadline_at=(
-                        None if deadline_at is None else float(deadline_at)
-                    ),
+                    submitted_at=float(event.get("t", 0.0)),
                     trace_id=str(event.get("trace", "")),
                 )
-                job.record_history("submit", t, tenant=job.tenant)
-                self._jobs[job_id] = job
                 self._order.append(job_id)
             return
         job = self._jobs.get(job_id) if job_id else None
         if job is None:
-            return
-        t = float(event.get("t", 0.0))
+            return  # also the ``config`` record: nothing to fold
         if kind == "lease":
             job.state = LEASED
             job.attempts = int(event.get("attempt", job.attempts + 1))
             job.agent = event.get("agent")
             job.deadline = float(event.get("deadline", 0.0))
-            job.record_history("lease", t, agent=job.agent,
-                               attempt=job.attempts)
         elif kind == "renew":
             job.deadline = float(event.get("deadline", job.deadline))
         elif kind == "complete":
             job.state = DONE
-            job.finished_at = t
             job.result_path = event.get("result")
             job.telemetry = dict(event.get("telemetry", {}))
             job.failures = 0
             job.agent = None
-            job.record_history("complete", t)
         elif kind == "requeue":
             job.state = QUEUED
             job.failures += 1
@@ -318,28 +262,21 @@ class DurableBroker:
             error = event.get("error")
             if error:
                 job.errors = (job.errors + [str(error)])[-8:]
-            job.record_history("requeue", t, error=str(error or ""))
         elif kind == "dead":
             job.state = DEAD
             job.failures += 1
             job.agent = None
-            job.finished_at = t
-            job.dead_reason = str(event.get("reason", DEAD_RETRIES))
             error = event.get("error")
             if error:
                 job.errors = (job.errors + [str(error)])[-8:]
-            job.record_history("dead", t, reason=job.dead_reason)
 
     def _ensure_config(self) -> None:
-        # Only the queue creator persists config; later instances adopt.
+        # Only the queue creator writes the config record.
         if self.queue_path.exists() and self.queue_path.stat().st_size > 0:
             return
-        policy = self.admission or AdmissionPolicy()
-        self.admission = policy
         self._append({
             "event": "config",
             "format": QUEUE_FORMAT,
-            "admission": policy.to_dict(),
             "lease_s": self.lease_s,
             "retry_budget": self.retry_budget,
         })
@@ -367,96 +304,39 @@ class DurableBroker:
         tenant: str = "anonymous",
         trace_id: Optional[str] = None,
     ) -> str:
-        """Admit and durably enqueue one job; returns its id.
+        """Durably enqueue one job; returns its id.
 
         ``trace_id`` is the per-submission correlation id stamped on
         every subsequent event and span the job touches; one is minted
         when the caller does not bring their own.
-
-        Raises :class:`~repro.errors.ServiceOverloaded` (an explicit
-        shed, never a hang or a silent drop) when the queue bound or the
-        tenant's quota is exhausted.
         """
         with self._locked():
-            policy = self.admission or AdmissionPolicy()
-            active = [j for j in self._jobs.values() if j.active]
-            by_tenant: Dict[str, int] = {}
-            for j in active:
-                by_tenant[j.tenant] = by_tenant.get(j.tenant, 0) + 1
             trace_id = trace_id or uuid.uuid4().hex[:16]
             with trace_span("service.submit", cat="service", tenant=tenant,
                             trace=trace_id):
-                policy.admit(tenant, len(active), by_tenant)
                 job_id = f"j{self._submits:05d}-{spec.config_key()[:8]}"
-                now = self.clock()
-                event: Dict[str, Any] = {
+                self._append({
                     "event": "submit",
                     "id": job_id,
                     "tenant": tenant,
                     "spec": spec.to_dict(),
-                    "priority": spec.priority,
                     "trace": trace_id,
-                    "t": now,
-                }
-                if spec.deadline_s is not None:
-                    event["deadline_at"] = now + spec.deadline_s
-                self._append(event)
+                    "t": self.clock(),
+                })
             return job_id
 
-    @staticmethod
-    def _dispatch_key(indexed: Tuple[int, JobRecord]) -> Tuple[float, float, int]:
-        """Lease order: highest priority class first, earliest absolute
-        deadline first within a class (no deadline sorts last), then
-        submission order — plain FIFO when nobody sets either knob."""
-        idx, job = indexed
-        edf = math.inf if job.deadline_at is None else job.deadline_at
-        return (-job.priority, edf, idx)
-
-    def _expire_deadlines(self, now: float) -> List[Tuple[str, str]]:
-        """Dead-letter every queued job whose completion deadline has
-        already passed: running it would only deliver a result its
-        submitter declared worthless. Distinct ``deadline`` reason so
-        operators can tell a missed deadline from a poisoned job."""
-        moved: List[Tuple[str, str]] = []
-        for job_id in self._order:
-            job = self._jobs[job_id]
-            if (job.state == QUEUED and job.deadline_at is not None
-                    and job.deadline_at < now):
-                with trace_span("service.dead", cat="service", job=job.id,
-                                reason=DEAD_DEADLINE, trace=job.trace_id):
-                    self._append({
-                        "event": "dead",
-                        "id": job.id,
-                        "reason": DEAD_DEADLINE,
-                        "error": (
-                            f"completion deadline expired {now - job.deadline_at:.3f}s "
-                            "before the job could be leased"
-                        ),
-                        "attempts": job.attempts,
-                        "trace": job.trace_id,
-                        "t": now,
-                    })
-                moved.append((job.id, DEAD))
-        return moved
-
     def lease(self, agent: str) -> Optional[JobRecord]:
-        """Grant the most urgent eligible queued job to ``agent`` with a
-        fresh deadline; ``None`` when nothing is leasable right now.
-        Urgency = priority class, then EDF, then submission order (see
-        :meth:`_dispatch_key`); queued jobs whose completion deadline
-        already passed are dead-lettered, never granted."""
+        """Grant the first queued job in submission order whose requeue
+        backoff has passed to ``agent`` with a fresh deadline; ``None``
+        when nothing is leasable right now."""
         with self._locked():
             now = self.clock()
-            self._expire_deadlines(now)
-            eligible = [
-                (idx, self._jobs[job_id])
-                for idx, job_id in enumerate(self._order)
-                if self._jobs[job_id].state == QUEUED
-                and self._jobs[job_id].not_before <= now
-            ]
-            if not eligible:
+            for job_id in self._order:
+                job = self._jobs[job_id]
+                if job.state == QUEUED and job.not_before <= now:
+                    break
+            else:
                 return None
-            _, job = min(eligible, key=self._dispatch_key)
             attempt = job.attempts + 1
             deadline = now + self.lease_s
             with trace_span(
@@ -526,9 +406,7 @@ class DurableBroker:
     def requeue_expired(self) -> List[Tuple[str, str]]:
         """Supervisor sweep: every leased job whose lease deadline
         passed (missed heartbeats — the agent is presumed dead) is
-        requeued or dead-lettered, and every queued job whose
-        *completion* deadline passed is dead-lettered. Returns
-        ``[(job_id, new_state), ...]``."""
+        requeued or dead-lettered. Returns ``[(job_id, new_state), ...]``."""
         with self._locked():
             now = self.clock()
             moved: List[Tuple[str, str]] = []
@@ -540,7 +418,6 @@ class DurableBroker:
                         "heartbeats)",
                     )
                     moved.append((job.id, state))
-            moved.extend(self._expire_deadlines(now))
             return moved
 
     def _retire_attempt(self, job: JobRecord, error: str) -> str:
@@ -548,11 +425,10 @@ class DurableBroker:
         now = self.clock()
         if job.failures + 1 >= self.retry_budget:
             with trace_span("service.dead", cat="service", job=job.id,
-                            reason=DEAD_RETRIES, trace=job.trace_id):
+                            trace=job.trace_id):
                 self._append({
                     "event": "dead",
                     "id": job.id,
-                    "reason": DEAD_RETRIES,
                     "error": error,
                     "attempts": job.attempts,
                     "trace": job.trace_id,
@@ -598,15 +474,10 @@ class DurableBroker:
     def stats(self) -> Dict[str, Any]:
         with self._locked():
             by_state: Dict[str, int] = {}
-            by_tenant: Dict[str, int] = {}
             for j in self._jobs.values():
                 by_state[j.state] = by_state.get(j.state, 0) + 1
-                if j.active:
-                    by_tenant[j.tenant] = by_tenant.get(j.tenant, 0) + 1
             return {
                 "jobs": len(self._jobs),
                 "by_state": by_state,
-                "active_by_tenant": by_tenant,
                 "repaired_lines": self.repaired_lines,
-                "admission": (self.admission or AdmissionPolicy()).to_dict(),
             }

@@ -1,9 +1,9 @@
 """Synchronous in-process client for the measurement service.
 
-The smallest way to consume the service: same broker, same admission
-control, same journals and fences as the full supervised fleet, but the
-"fleet" is one :class:`~repro.service.agent.MeasurementAgent` running
-inline in the caller's process. Useful for tests, notebooks, and the
+The smallest way to consume the service: same broker, same journals
+and fences as the full supervised fleet, but the "fleet" is one
+:class:`~repro.service.agent.MeasurementAgent` running inline in the
+caller's process. Useful for tests, notebooks, and the
 ``service-smoke`` CI job — and it doubles as an executable proof that
 the service layers add no behaviour of their own: an inline drain must
 produce byte-identical results to a supervised multi-process drain.
@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..errors import ServiceError
-from .admission import AdmissionPolicy
 from .agent import MeasurementAgent
 from .broker import DONE, DurableBroker, JobRecord
 from .jobs import JobSpec
@@ -30,20 +29,18 @@ class ServiceClient:
     def __init__(
         self,
         root: str | Path,
-        admission: Optional[AdmissionPolicy] = None,
         lease_s: float = 30.0,
         retry_budget: int = 3,
     ):
         self.root = Path(root)
         self.broker = DurableBroker(
-            self.root, admission=admission,
-            lease_s=lease_s, retry_budget=retry_budget,
+            self.root, lease_s=lease_s, retry_budget=retry_budget,
         )
         self._store: Optional[ResultsStore] = None
 
     @property
     def store(self) -> ResultsStore:
-        """The root's queryable results store (opened lazily)."""
+        """The root's point index (opened lazily)."""
         if self._store is None:
             self._store = ResultsStore(self.root)
         return self._store
@@ -54,8 +51,7 @@ class ServiceClient:
         tenant: str = "anonymous",
         trace_id: Optional[str] = None,
     ) -> str:
-        """Admit one job; raises
-        :class:`~repro.errors.ServiceOverloaded` when shed."""
+        """Durably enqueue one job; returns its id."""
         return self.broker.submit(spec, tenant=tenant, trace_id=trace_id)
 
     def drain(self, max_jobs: Optional[int] = None) -> int:

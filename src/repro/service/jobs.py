@@ -15,7 +15,7 @@ The registries map names to builders:
 - :data:`PRESETS` — socket configurations from :mod:`repro.config`.
 
 Both raise :class:`~repro.errors.ServiceError` on unknown names so a
-typo in a submission fails at *admission time*, not hours later inside
+typo in a submission fails at *submission time*, not hours later inside
 an agent.
 """
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from ..config import SocketConfig, presets
 from ..errors import ServiceError
@@ -169,15 +169,6 @@ class JobSpec:
     broker's JSONL log byte-for-byte and two submissions with equal
     specs are *the same measurement* (equal :meth:`config_key`, hence
     shared cache/journal entries).
-
-    ``priority`` and ``deadline_s`` are *scheduling metadata*, not
-    measurement identity: two submissions that differ only in urgency
-    are still the same measurement, so both are excluded from
-    :meth:`config_key` (they still round-trip through :meth:`to_dict`
-    and the broker's event log). Higher ``priority`` is served first;
-    within a priority class the broker runs earliest-deadline-first.
-    A job whose ``deadline_s`` (relative to submission) expires before
-    it is leased is dead-lettered rather than run late.
     """
 
     app: str
@@ -188,20 +179,8 @@ class JobSpec:
     warmup_accesses: int = 25_000
     measure_accesses: int = 15_000
     app_params: Dict[str, Any] = field(default_factory=dict)
-    priority: int = 0
-    deadline_s: Optional[float] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "priority", int(self.priority))
-        if self.deadline_s is not None:
-            deadline = float(self.deadline_s)
-            if deadline <= 0:
-                raise ServiceError(
-                    f"deadline_s must be positive, got {deadline!r} — a "
-                    "deadline already in the past at submit time can "
-                    "never be met"
-                )
-            object.__setattr__(self, "deadline_s", deadline)
         if self.kind not in KINDS:
             raise ServiceError(
                 f"unknown sweep kind {self.kind!r}; pick one of {KINDS}"
@@ -240,24 +219,13 @@ class JobSpec:
         )
         return f"service/{self.app}({params})"
 
-    def measurement_dict(self) -> Dict[str, Any]:
-        """The fields that define *what is measured* — everything in
-        :meth:`to_dict` except the scheduling metadata. This is the
-        domain of :meth:`config_key`, so changing a job's urgency never
-        changes its cache/journal identity."""
-        out = self.to_dict()
-        out.pop("priority")
-        out.pop("deadline_s")
-        return out
-
     def config_key(self) -> str:
         """Content hash of the measurement spec — the job's campaign
         identity (guards journals against cross-job reuse, dedups
-        submissions). Scheduling metadata is excluded: see
-        :meth:`measurement_dict`."""
+        submissions)."""
         from ..core.parallel import cache_key
 
-        return cache_key(job_format=JOB_FORMAT, **self.measurement_dict())
+        return cache_key(job_format=JOB_FORMAT, **self.to_dict())
 
     # -- (de)serialisation ----------------------------------------------------
 
@@ -268,6 +236,8 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
+        # Keys outside the spec are ignored: logs written before
+        # queue format 3 carry the withdrawn ``priority``/``deadline_s``.
         try:
             return cls(
                 app=str(data["app"]),
@@ -278,11 +248,6 @@ class JobSpec:
                 warmup_accesses=int(data.get("warmup_accesses", 25_000)),
                 measure_accesses=int(data.get("measure_accesses", 15_000)),
                 app_params=dict(data.get("app_params", {})),
-                priority=int(data.get("priority", 0)),
-                deadline_s=(
-                    None if data.get("deadline_s") is None
-                    else float(data["deadline_s"])
-                ),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(f"malformed job spec {data!r}: {exc}") from exc

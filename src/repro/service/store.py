@@ -1,16 +1,17 @@
-"""Queryable results store: every measurement the service completes,
-indexed in one SQLite file.
+"""Results store: the point index behind ``repro query``, in one
+SQLite file.
 
 The per-job JSON artifacts (``results/<job>.json``) are the service's
 *durability* format — atomic, human-readable, byte-comparable in the
 chaos drills — but they are opaque to queries: answering "every
 capacity-sweep point tenant alice ran on the xeon preset with k ≤ 3"
-means opening every file. The store is the *queryable* projection of
-those artifacts plus the broker's folded job state: one ``jobs`` row
-per job (tenant, app, preset, spec ``config_key``, state history,
-telemetry, trace id, scheduling metadata) and one ``points`` row per
-interference point (k, slowdown, per-core miss rates and bandwidths,
-timings), served by ``repro query``.
+means opening every file and replaying the broker log for the job
+identities. The store indexes the artifacts' points: one ``points`` row
+per interference point (k, slowdown, per-core miss rates and
+bandwidths, timings) and one ``jobs`` row per completed job holding
+only the identity the filters need (tenant, app, preset, trace id,
+submission time). Job *state* is not mirrored here; ``repro queue``
+reads it from the broker log.
 
 Design rules:
 
@@ -22,7 +23,7 @@ Design rules:
 - **Byte parity with the artifact.** Point rows keep the artifact's
   exact ``repr``-float strings (alongside derived numeric columns for
   range queries), so :meth:`point_payload` reconstructs the artifact
-  payload exactly and the ``query-smoke`` CI job can assert
+  payload exactly and the ``service-smoke`` CI job can assert
   byte-for-byte equality after a backfill.
 - **WAL mode, one writer per process.** Each agent process owns one
   connection; SQLite's WAL journal lets the fleet's writers interleave
@@ -40,10 +41,10 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
 from ..errors import ServiceError
-from .broker import DurableBroker, JobRecord
+from .broker import DONE, DurableBroker, JobRecord
 
 #: Bump on any change to the table layout below.
-STORE_SCHEMA = 1
+STORE_SCHEMA = 2
 
 #: Default store filename inside a service root.
 STORE_NAME = "store.sqlite"
@@ -58,23 +59,11 @@ CREATE TABLE IF NOT EXISTS jobs (
     tenant        TEXT NOT NULL,
     app           TEXT NOT NULL,
     preset        TEXT NOT NULL,
-    kind          TEXT NOT NULL,
-    config_key    TEXT NOT NULL,
     trace_id      TEXT NOT NULL DEFAULT '',
-    priority      INTEGER NOT NULL DEFAULT 0,
-    deadline_at   REAL,
-    state         TEXT NOT NULL,
-    attempts      INTEGER NOT NULL DEFAULT 0,
-    submitted_at  REAL NOT NULL DEFAULT 0.0,
-    finished_at   REAL,
-    result_path   TEXT,
-    spec_json     TEXT NOT NULL,
-    telemetry_json TEXT NOT NULL DEFAULT '{}',
-    history_json  TEXT NOT NULL DEFAULT '[]'
+    submitted_at  REAL NOT NULL DEFAULT 0.0
 );
 CREATE INDEX IF NOT EXISTS jobs_tenant ON jobs(tenant);
 CREATE INDEX IF NOT EXISTS jobs_app_preset ON jobs(app, preset);
-CREATE INDEX IF NOT EXISTS jobs_config_key ON jobs(config_key);
 CREATE TABLE IF NOT EXISTS points (
     job_id             TEXT NOT NULL REFERENCES jobs(job_id),
     idx                INTEGER NOT NULL,
@@ -148,8 +137,6 @@ class ResultsStore:
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute("PRAGMA busy_timeout=10000")
         self._ensure_schema()
-        #: Rows written by this instance (observability).
-        self.jobs_recorded = 0
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -184,91 +171,59 @@ class ResultsStore:
     # -- writes -----------------------------------------------------------------
 
     def record_job(
-        self,
-        job: JobRecord,
-        payload: Optional[Iterable[Dict[str, Any]]] = None,
+        self, job: JobRecord, payload: Iterable[Dict[str, Any]]
     ) -> None:
-        """Upsert one job row (and, when ``payload`` is given, replace
-        its point rows) in a single transaction. Idempotent: a zombie
-        attempt racing its replacement writes identical rows — point
-        purity again, now at the store layer."""
-        spec = job.spec
+        """Write one completed job's identity row and replace its point
+        rows in a single transaction. Idempotent: a zombie attempt
+        racing its replacement writes identical rows — point purity
+        again, now at the store layer."""
         with self._conn:
             self._conn.execute(
                 """
-                INSERT INTO jobs(job_id, tenant, app, preset, kind,
-                                 config_key, trace_id, priority,
-                                 deadline_at, state, attempts,
-                                 submitted_at, finished_at, result_path,
-                                 spec_json, telemetry_json, history_json)
-                VALUES(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                ON CONFLICT(job_id) DO UPDATE SET
-                    state=excluded.state,
-                    attempts=excluded.attempts,
-                    finished_at=excluded.finished_at,
-                    result_path=excluded.result_path,
-                    telemetry_json=excluded.telemetry_json,
-                    history_json=excluded.history_json
+                INSERT OR REPLACE INTO jobs(job_id, tenant, app, preset,
+                                            trace_id, submitted_at)
+                VALUES(?, ?, ?, ?, ?, ?)
                 """,
-                (
-                    job.id, job.tenant, spec.app, spec.preset, spec.kind,
-                    spec.config_key(), job.trace_id, job.priority,
-                    job.deadline_at, job.state, job.attempts,
-                    job.submitted_at, job.finished_at, job.result_path,
-                    json.dumps(spec.to_dict(), sort_keys=True,
-                               separators=(",", ":")),
-                    json.dumps(job.telemetry, sort_keys=True,
-                               separators=(",", ":")),
-                    json.dumps(job.history, sort_keys=True,
-                               separators=(",", ":")),
-                ),
+                (job.id, job.tenant, job.spec.app, job.spec.preset,
+                 job.trace_id, job.submitted_at),
             )
-            if payload is not None:
-                self._conn.execute(
-                    "DELETE FROM points WHERE job_id=?", (job.id,)
-                )
-                self._conn.executemany(
-                    """
-                    INSERT INTO points(job_id, idx, kind, k, slowdown,
-                                       t_access_ns, makespan_ns,
-                                       time_per_access_ns, main_cores_json,
-                                       l3_miss_rates_json, bandwidths_json)
-                    VALUES(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                    """,
-                    _point_rows(job.id, payload),
-                )
-        self.jobs_recorded += 1
+            self._conn.execute("DELETE FROM points WHERE job_id=?", (job.id,))
+            self._conn.executemany(
+                """
+                INSERT INTO points(job_id, idx, kind, k, slowdown,
+                                   t_access_ns, makespan_ns,
+                                   time_per_access_ns, main_cores_json,
+                                   l3_miss_rates_json, bandwidths_json)
+                VALUES(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
+                """,
+                _point_rows(job.id, payload),
+            )
 
-    def backfill(self, broker: DurableBroker, force: bool = False) -> int:
-        """Parity path: (re)build store rows from the broker's folded
-        state and the per-job JSON artifacts. Covers the crash window
+    def backfill(self, broker: DurableBroker) -> int:
+        """Parity path: write the rows of every done job the store
+        lacks, read back from its JSON artifact. Covers the crash window
         between a fenced ``complete`` and the agent's store write, store
         deletion, and stores created after the queue already drained.
-        Returns the number of jobs written. ``force=True`` rewrites
-        rows that already exist (schema repairs)."""
-        have = {
-            row["job_id"]: row["state"]
-            for row in self._conn.execute("SELECT job_id, state FROM jobs")
-        }
+        Returns the number of jobs written."""
+        have = {row["job_id"] for row in
+                self._conn.execute("SELECT job_id FROM jobs")}
         written = 0
         for job in broker.jobs():
-            if not force and have.get(job.id) == job.state:
+            if job.state != DONE or not job.result_path or job.id in have:
                 continue
-            payload: Optional[List[Dict[str, Any]]] = None
-            if job.result_path:
-                artifact = Path(job.result_path)
-                try:
-                    payload = json.loads(artifact.read_text())
-                except OSError as exc:
-                    raise ServiceError(
-                        f"cannot backfill job {job.id}: result artifact "
-                        f"{artifact} unreadable ({exc})"
-                    ) from exc
-                except ValueError as exc:
-                    raise ServiceError(
-                        f"cannot backfill job {job.id}: result artifact "
-                        f"{artifact} is torn or corrupt ({exc})"
-                    ) from exc
+            artifact = Path(job.result_path)
+            try:
+                payload = json.loads(artifact.read_text())
+            except OSError as exc:
+                raise ServiceError(
+                    f"cannot backfill job {job.id}: result artifact "
+                    f"{artifact} unreadable ({exc})"
+                ) from exc
+            except ValueError as exc:
+                raise ServiceError(
+                    f"cannot backfill job {job.id}: result artifact "
+                    f"{artifact} is torn or corrupt ({exc})"
+                ) from exc
             self.record_job(job, payload)
             written += 1
         return written
@@ -283,34 +238,6 @@ class ResultsStore:
             if value is not None:
                 clauses.append(f"{column} = ?")
                 params.append(value)
-
-    def query_jobs(
-        self,
-        tenant: Optional[str] = None,
-        app: Optional[str] = None,
-        preset: Optional[str] = None,
-        kind: Optional[str] = None,
-        state: Optional[str] = None,
-        job_id: Optional[str] = None,
-    ) -> List[Dict[str, Any]]:
-        """Job rows (dicts, JSON columns decoded) matching the filters,
-        in submission order."""
-        clauses: List[str] = []
-        params: List[Any] = []
-        self._filters(clauses, params, tenant=tenant, app=app,
-                      preset=preset, kind=kind, state=state, job_id=job_id)
-        sql = "SELECT * FROM jobs"
-        if clauses:
-            sql += " WHERE " + " AND ".join(clauses)
-        sql += " ORDER BY submitted_at, job_id"
-        out = []
-        for row in self._conn.execute(sql, params):
-            record = dict(row)
-            record["spec"] = json.loads(record.pop("spec_json"))
-            record["telemetry"] = json.loads(record.pop("telemetry_json"))
-            record["history"] = json.loads(record.pop("history_json"))
-            out.append(record)
-        return out
 
     def query_points(
         self,
@@ -380,21 +307,3 @@ class ResultsStore:
             }
             for row in rows
         ]
-
-    def stats(self) -> Dict[str, Any]:
-        jobs = self._conn.execute("SELECT COUNT(*) AS n FROM jobs").fetchone()
-        points = self._conn.execute(
-            "SELECT COUNT(*) AS n FROM points").fetchone()
-        by_state: Dict[str, int] = {
-            row["state"]: row["n"]
-            for row in self._conn.execute(
-                "SELECT state, COUNT(*) AS n FROM jobs GROUP BY state"
-            )
-        }
-        return {
-            "path": str(self.path),
-            "schema": STORE_SCHEMA,
-            "jobs": jobs["n"],
-            "points": points["n"],
-            "by_state": by_state,
-        }

@@ -9,7 +9,6 @@ from repro.core.journal import CampaignJournal
 from repro.core.parallel import PointRunner, ResultCache
 from repro.service import (
     DEAD,
-    DEAD_RETRIES,
     DONE,
     LEASED,
     QUEUED,
@@ -191,7 +190,7 @@ class TestUnexpectedCrash:
             clock.advance(120.0)  # clear the requeue backoff
         record = broker.job(job_id)
         assert record.state == DEAD
-        assert record.dead_reason == DEAD_RETRIES
+        assert "unexpected KeyError" in record.errors[-1]
         assert agent.jobs_crashed == 3
         assert broker.lease("a1") is None
 

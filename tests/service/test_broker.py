@@ -6,16 +6,7 @@ import pytest
 
 from repro.core.parallel import backoff_delay
 from repro.errors import ServiceError, StaleLease
-from repro.service import (
-    DEAD,
-    DEAD_DEADLINE,
-    DEAD_RETRIES,
-    DONE,
-    LEASED,
-    QUEUED,
-    DurableBroker,
-    JobSpec,
-)
+from repro.service import DEAD, DONE, LEASED, QUEUED, DurableBroker, JobSpec
 
 
 def spec(k=1, seed=0, **overrides):
@@ -214,121 +205,62 @@ class TestDurability:
         fresh = DurableBroker(tmp_path, lease_s=10.0, clock=clock)
         assert fresh.requeue_expired() == [(job_id, QUEUED)]
 
+    def test_format2_log_replays_with_dropped_fields_ignored(
+        self, tmp_path, clock
+    ):
+        # A queue written before format 3: an admission policy in the
+        # config record, and submit events carrying a priority, an
+        # absolute deadline (already past at replay time) and the
+        # scheduling knobs inside the spec.
+        def old_spec(seed, priority, deadline_s):
+            return {"app": "probe", "app_params": {}, "kind": "cs",
+                    "ks": [0, 1], "measure_accesses": 1000,
+                    "preset": "tiny", "seed": seed,
+                    "warmup_accesses": 2000, "priority": priority,
+                    "deadline_s": deadline_s}
+
+        events = [
+            {"event": "config", "format": 2, "lease_s": 30.0,
+             "retry_budget": 3,
+             "admission": {"max_active": 2, "max_active_per_tenant": 2}},
+            {"event": "submit", "id": "j00000-154b2698", "tenant": "t1",
+             "spec": old_spec(0, 0, 500.0), "priority": 0,
+             "deadline_at": 500.0, "trace": "a" * 16, "t": 0.0},
+            {"event": "submit", "id": "j00001-10de28bd", "tenant": "t1",
+             "spec": old_spec(1, 5, None), "priority": 5,
+             "trace": "b" * 16, "t": 0.0},
+        ]
+        (tmp_path / "queue.jsonl").write_text(
+            "".join(json.dumps(e, sort_keys=True) + "\n" for e in events))
+        broker = DurableBroker(tmp_path, lease_s=10.0, clock=clock)
+        jobs = broker.jobs()
+        assert [j.id for j in jobs] == ["j00000-154b2698", "j00001-10de28bd"]
+        assert jobs[0].spec == spec(seed=0)
+        assert jobs[1].trace_id == "b" * 16
+        # Two jobs already in flight: the old bound of 2 is gone.
+        newest = broker.submit(spec(seed=2), tenant="t1")
+        assert newest.startswith("j00002-")
+        # The old deadline and priority no longer reorder or expire.
+        order = [broker.lease(f"a{i}").id for i in range(3)]
+        assert order == ["j00000-154b2698", "j00001-10de28bd", newest]
+
 
 class TestScheduling:
-    def test_higher_priority_class_is_served_first(self, broker):
-        low = broker.submit(spec(seed=0, priority=0))
-        high = broker.submit(spec(seed=1, priority=5))
-        mid = broker.submit(spec(seed=2, priority=2))
-        order = [broker.lease(f"a{i}").id for i in range(3)]
-        assert order == [high, mid, low]
-
-    def test_edf_within_a_priority_class(self, broker):
-        loose = broker.submit(spec(seed=0, deadline_s=100.0))
-        tight = broker.submit(spec(seed=1, deadline_s=50.0))
-        never = broker.submit(spec(seed=2))  # no deadline: sorts last
-        order = [broker.lease(f"a{i}").id for i in range(3)]
-        assert order == [tight, loose, never]
-
-    def test_equal_priority_ties_break_fifo(self, broker):
-        first = broker.submit(spec(seed=0, priority=3))
-        second = broker.submit(spec(seed=1, priority=3))
-        assert broker.lease("a0").id == first
-        assert broker.lease("a1").id == second
-
-    def test_priority_trumps_deadline(self, broker):
-        # An urgent deadline in a lower class never outranks a higher
-        # class: priority is the coarse knob, EDF only orders within.
-        deadlined = broker.submit(spec(seed=0, priority=0, deadline_s=1.0))
-        high = broker.submit(spec(seed=1, priority=1))
-        assert broker.lease("a0").id == high
-        assert broker.lease("a1").id == deadlined
-
-    def test_deadline_in_the_past_is_rejected_at_submit(self):
-        # deadline_s is relative-to-now, so "already expired at submit"
-        # is exactly a non-positive value — refused at spec validation.
-        with pytest.raises(ServiceError, match="deadline_s must be positive"):
-            spec(deadline_s=0.0)
-        with pytest.raises(ServiceError, match="deadline_s must be positive"):
-            spec(deadline_s=-5.0)
-
-    def test_expired_deadline_dead_letters_with_distinct_reason(
-        self, broker, clock
-    ):
-        doomed = broker.submit(spec(seed=0, deadline_s=5.0))
-        healthy = broker.submit(spec(seed=1))
-        clock.advance(6.0)
-        # The expired job is never granted; the healthy one is.
-        assert broker.lease("a0").id == healthy
-        dead = broker.job(doomed)
-        assert dead.state == DEAD
-        assert dead.dead_reason == DEAD_DEADLINE
-        assert dead.dead_reason != DEAD_RETRIES
-        assert "deadline expired" in dead.errors[-1]
-        assert broker.dead_letter()[0].id == doomed
-
-    def test_supervisor_sweep_also_expires_deadlines(self, broker, clock):
-        doomed = broker.submit(spec(deadline_s=5.0))
-        clock.advance(6.0)
-        assert broker.requeue_expired() == [(doomed, DEAD)]
-        assert broker.job(doomed).dead_reason == DEAD_DEADLINE
-
-    def test_running_jobs_are_not_deadline_expired(self, broker, clock):
-        # Expiry applies to QUEUED jobs only: a leased job keeps running
-        # and its (slightly late) completion is still accepted.
-        job_id = broker.submit(spec(deadline_s=5.0))
-        job = broker.lease("a0")
-        clock.advance(6.0)  # past the completion deadline, not the lease
-        assert broker.requeue_expired() == []
-        broker.complete(job_id, "a0", job.attempts)
-        assert broker.job(job_id).state == DONE
-
     def test_backoff_gates_priority(self, broker, clock):
-        # A high-priority job inside its requeue backoff window is not
-        # eligible, so a lower-priority job is granted; once the window
-        # passes the high-priority job outranks the queue again.
-        high = broker.submit(spec(seed=0, priority=5))
-        low = broker.submit(spec(seed=1, priority=0))
-        low2 = broker.submit(spec(seed=2, priority=0))
-        assert broker.lease("a0").id == high
-        broker.fail(high, "a0", 1, "transient")
-        delay = backoff_delay(0, high, 0, 0.25, 30.0)
-        assert broker.lease("a1").id == low  # high is gated by backoff
+        # Submission order is the only dispatch order, and the requeue
+        # backoff gates it: a job inside its window is skipped for the
+        # next queued job, and once the window passes it is served
+        # before every job submitted after it.
+        first = broker.submit(spec(seed=0))
+        second = broker.submit(spec(seed=1))
+        third = broker.submit(spec(seed=2))
+        assert broker.lease("a0").id == first
+        broker.fail(first, "a0", 1, "transient")
+        delay = backoff_delay(0, first, 0, 0.25, 30.0)
+        assert broker.lease("a1").id == second  # first is gated by backoff
         clock.advance(delay + 0.01)
-        assert broker.lease("a2").id == high  # eligibility restored
-        assert broker.lease("a3").id == low2
-
-    def test_mixed_batch_drains_in_priority_then_edf_order(
-        self, broker, clock
-    ):
-        submitted = {
-            "p0_late": broker.submit(spec(seed=0, priority=0,
-                                          deadline_s=500.0)),
-            "p2_none": broker.submit(spec(seed=1, priority=2)),
-            "p2_tight": broker.submit(spec(seed=2, priority=2,
-                                           deadline_s=60.0)),
-            "p0_fifo": broker.submit(spec(seed=3, priority=0)),
-            "p2_loose": broker.submit(spec(seed=4, priority=2,
-                                           deadline_s=300.0)),
-        }
-        drained = []
-        while True:
-            job = broker.lease("a0")
-            if job is None:
-                break
-            broker.complete(job.id, "a0", job.attempts)
-            drained.append(job.id)
-        assert drained == [submitted[name] for name in (
-            "p2_tight", "p2_loose", "p2_none",  # class 2, EDF inside
-            "p0_late", "p0_fifo",               # class 0, EDF inside
-        )]
-        assert broker.drained()
-
-    def test_default_knobs_degenerate_to_fifo(self, broker):
-        # No priorities, no deadlines: identical to the pre-scheduling
-        # broker, byte-for-byte submission order.
-        ids = [broker.submit(spec(seed=s)) for s in range(4)]
-        assert [broker.lease(f"a{i}").id for i in range(4)] == ids
+        assert broker.lease("a2").id == first  # eligibility restored
+        assert broker.lease("a3").id == third
 
 
 class TestTraceIds:
@@ -361,32 +293,3 @@ class TestTraceIds:
         job_id = first.submit(spec(), trace_id="beefbeefbeefbeef")
         second = DurableBroker(tmp_path, lease_s=10.0, clock=clock)
         assert second.job(job_id).trace_id == "beefbeefbeefbeef"
-
-
-class TestStateHistory:
-    def test_history_records_every_transition_but_not_renews(
-        self, broker, clock
-    ):
-        job_id = broker.submit(spec())
-        job = broker.lease("a0")
-        broker.renew(job_id, "a0", job.attempts)
-        broker.fail(job_id, "a0", job.attempts, "boom")
-        clock.advance(60.0)
-        job = broker.lease("a1")
-        broker.complete(job_id, "a1", job.attempts)
-        events = [h["event"] for h in broker.job(job_id).history]
-        assert events == ["submit", "lease", "requeue", "lease",
-                          "complete"]
-        assert "renew" not in events
-
-    def test_history_is_bounded(self, broker, clock):
-        from repro.service.broker import HISTORY_LIMIT
-        flaky = DurableBroker(broker.root, lease_s=10.0,
-                              retry_budget=10_000, clock=clock)
-        job_id = flaky.submit(spec())
-        for _ in range(40):
-            job = flaky.lease("a0")
-            flaky.fail(job_id, "a0", job.attempts, "boom")
-            clock.advance(120.0)
-        history = flaky.job(job_id).history
-        assert len(history) == HISTORY_LIMIT

@@ -6,13 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ServiceError
-from repro.service import (
-    STORE_SCHEMA,
-    DurableBroker,
-    JobSpec,
-    ResultsStore,
-    ServiceClient,
-)
+from repro.service import JobSpec, ResultsStore, ServiceClient
 
 
 def spec(ks=(0, 1), seed=0, app="probe", **overrides):
@@ -36,11 +30,9 @@ def drained(tmp_path):
 class TestAgentPopulation:
     def test_agent_writes_store_rows_on_complete(self, drained):
         client, j1, j2 = drained
-        rows = client.store.query_jobs()
-        assert {r["job_id"] for r in rows} == {j1, j2}
-        assert all(r["state"] == "done" for r in rows)
         points = client.store.query_points()
         assert len(points) == 4  # two jobs x two ks
+        assert {r["job_id"] for r in points} == {j1, j2}
 
     def test_point_payload_matches_artifact_byte_for_byte(self, drained):
         client, j1, j2 = drained
@@ -52,16 +44,14 @@ class TestAgentPopulation:
             ).encode()
             assert rebuilt == artifact.read_bytes()
 
-    def test_job_row_carries_identity_and_history(self, drained):
+    def test_point_rows_carry_job_identity(self, drained):
         client, j1, _ = drained
-        (row,) = client.store.query_jobs(job_id=j1)
-        assert row["tenant"] == "alice"
-        assert row["config_key"] == spec().config_key()
-        assert row["trace_id"] == client.status(j1).trace_id
-        assert [h["event"] for h in row["history"]] == [
-            "submit", "lease", "complete",
-        ]
-        assert row["telemetry"]["points_done"] == 2
+        rows = client.store.query_points(job_id=j1)
+        assert [r["k"] for r in rows] == [0, 1]
+        for row in rows:
+            assert (row["tenant"], row["app"], row["preset"]) == (
+                "alice", "probe", "tiny")
+            assert row["trace_id"] == client.status(j1).trace_id
 
     def test_slowdown_is_relative_to_the_lowest_k(self, drained):
         client, j1, _ = drained
@@ -91,13 +81,16 @@ class TestBackfill:
 
     def test_backfill_is_incremental(self, drained, tmp_path):
         client, *_ = drained
-        assert client.store.backfill(client.broker) == 0  # nothing stale
+        assert client.store.backfill(client.broker) == 0  # nothing missing
         j3 = client.submit(spec(seed=7), tenant="alice")
         client.drain()
-        # The agent already recorded j3; a state-matching row is skipped.
+        # The agent already recorded j3; a job the store holds is skipped.
         assert client.store.backfill(client.broker) == 0
-        assert client.store.backfill(client.broker, force=True) == 3
-        assert client.store.point_payload(j3)
+        # A queued job has no artifact yet and is skipped too.
+        client.submit(spec(seed=8), tenant="alice")
+        fresh = ResultsStore(tmp_path, path=tmp_path / "fresh.sqlite")
+        assert fresh.backfill(client.broker) == 3
+        assert fresh.point_payload(j3) == client.store.point_payload(j3)
 
     def test_backfill_covers_jobs_missing_from_the_store(self, tmp_path):
         # Simulate the crash window: job completed, store write lost.
@@ -116,12 +109,14 @@ class TestBackfill:
                              sort_keys=True, indent=1).encode()
         assert rebuilt == artifact
 
-    def test_backfill_torn_artifact_is_a_service_error(self, drained):
+    def test_backfill_torn_artifact_is_a_service_error(self, drained,
+                                                       tmp_path):
         client, j1, _ = drained
         artifact = Path(client.status(j1).result_path)
         artifact.write_bytes(artifact.read_bytes()[:-20])
+        fresh = ResultsStore(tmp_path, path=tmp_path / "fresh.sqlite")
         with pytest.raises(ServiceError, match="torn or corrupt"):
-            client.store.backfill(client.broker, force=True)
+            fresh.backfill(client.broker)
 
 
 class TestQueries:
@@ -141,14 +136,6 @@ class TestQueries:
         both = client.store.query_points(k_min=0, k_max=1)
         assert len(both) == 4
 
-    def test_stats(self, drained):
-        client, *_ = drained
-        stats = client.store.stats()
-        assert stats["jobs"] == 2
-        assert stats["points"] == 4
-        assert stats["by_state"] == {"done": 2}
-        assert stats["schema"] == STORE_SCHEMA
-
 
 class TestSchemaAndConcurrency:
     def test_wal_mode_is_active(self, tmp_path):
@@ -165,18 +152,16 @@ class TestSchemaAndConcurrency:
         with pytest.raises(ServiceError, match="schema 999"):
             ResultsStore(tmp_path)
 
-    def test_two_writers_interleave(self, tmp_path):
+    def test_two_writers_interleave(self, drained, tmp_path):
         # Two store instances (two "agent processes") writing distinct
         # jobs against one WAL database must both land.
-        broker = DurableBroker(tmp_path)
-        ids = [broker.submit(spec(seed=s)) for s in (0, 1)]
-        for job_id, agent in zip(ids, ("a0", "a1")):
-            leased = broker.lease(agent)
-            broker.complete(leased.id, agent, leased.attempts)
-        a, b = ResultsStore(tmp_path), ResultsStore(tmp_path)
-        a.record_job(broker.job(ids[0]))
-        b.record_job(broker.job(ids[1]))
-        assert {r["job_id"] for r in a.query_jobs()} == set(ids)
+        client, j1, j2 = drained
+        path = tmp_path / "shared.sqlite"
+        a = ResultsStore(tmp_path, path=path)
+        b = ResultsStore(tmp_path, path=path)
+        a.record_job(client.status(j1), client.result(j1))
+        b.record_job(client.status(j2), client.result(j2))
+        assert {r["job_id"] for r in a.query_points()} == {j1, j2}
 
     def test_record_job_is_idempotent(self, drained):
         client, j1, _ = drained

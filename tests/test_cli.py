@@ -212,15 +212,6 @@ class TestServiceVerbs:
         assert "state=done" in out
         assert "result:" in out
 
-    def test_submit_rejects_overload_with_exit_1(self, tmp_path, capsys):
-        root = str(tmp_path / "svc")
-        assert main(self.SUBMIT + ["--root", root, "--max-active", "1"]) == 0
-        capsys.readouterr()
-        assert main(["submit", "--root", root, "--preset", "tiny",
-                     "--ks", "0,2", "--warmup", "2000",
-                     "--measure", "1000"]) == 1
-        assert "queue is at its bound" in capsys.readouterr().err
-
     def test_submit_validates_spec_and_params(self, tmp_path, capsys):
         root = str(tmp_path / "svc")
         assert main(["submit", "--root", root, "--app", "nope",
@@ -253,29 +244,26 @@ class TestServiceVerbs:
         assert main(["queue", "--root", root, "--job", "j99999-0000"]) == 1
         assert "unknown job" in capsys.readouterr().err
 
-    def test_submit_accepts_priority_and_deadline(self, tmp_path, capsys):
+    def test_submit_announces_the_trace_id(self, tmp_path, capsys):
         from repro.service import DurableBroker
 
         root = str(tmp_path / "svc")
-        assert main(self.SUBMIT + ["--root", root, "--priority", "3",
-                                   "--deadline-s", "120"]) == 0
+        assert main(self.SUBMIT + ["--root", root]) == 0
         captured = capsys.readouterr()
         job_id = captured.out.strip()
-        assert "trace: " in captured.err  # correlation id announced
         job = DurableBroker(root).job(job_id)
-        assert job.priority == 3
-        assert job.deadline_at is not None
         assert len(job.trace_id) == 16
+        assert f"trace: {job.trace_id}" in captured.err
 
-    def test_submit_rejects_non_positive_deadline(self, tmp_path, capsys):
-        root = str(tmp_path / "svc")
-        assert main(self.SUBMIT + ["--root", root,
-                                   "--deadline-s", "-1"]) == 1
-        assert "deadline_s must be positive" in capsys.readouterr().err
+    def test_queue_on_a_missing_root_creates_nothing(self, tmp_path, capsys):
+        root = tmp_path / "typo"
+        assert main(["queue", "--root", str(root)]) == 1
+        assert f"error: no service queue at {root}" in capsys.readouterr().err
+        assert not root.exists()
 
 
 class TestQueryVerb:
-    """query: the results store's command-line surface."""
+    """query: the point index's command-line surface."""
 
     SUBMIT = ["submit", "--preset", "tiny", "--ks", "0,1",
               "--warmup", "2000", "--measure", "1000"]
@@ -299,16 +287,22 @@ class TestQueryVerb:
         assert "1.0000" in captured.out  # the k=0 baseline point
         assert "2 point row(s)" in captured.err
 
-    def test_jobs_table_and_filters(self, served_root, capsys):
+    def test_tenant_filter(self, served_root, capsys):
         root, job_id = served_root
-        assert main(["query", "--root", root, "--jobs",
-                     "--tenant", "alice"]) == 0
-        out = capsys.readouterr().out
-        assert job_id in out
-        assert "done" in out
-        assert main(["query", "--root", root, "--jobs",
-                     "--tenant", "nobody"]) == 0
-        assert job_id not in capsys.readouterr().out
+        assert main(["query", "--root", root, "--tenant", "alice"]) == 0
+        captured = capsys.readouterr()
+        assert job_id in captured.out
+        assert "2 point row(s)" in captured.err
+        assert main(["query", "--root", root, "--tenant", "nobody"]) == 0
+        captured = capsys.readouterr()
+        assert job_id not in captured.out
+        assert "0 point row(s)" in captured.err
+
+    def test_query_on_a_missing_root_creates_nothing(self, tmp_path, capsys):
+        root = tmp_path / "typo"
+        assert main(["query", "--root", str(root)]) == 1
+        assert f"error: no service queue at {root}" in capsys.readouterr().err
+        assert not root.exists()
 
     def test_k_range_filter(self, served_root, capsys):
         root, _ = served_root
@@ -329,8 +323,7 @@ class TestQueryVerb:
         root, job_id = served_root
         for path in Path(root).glob("store.sqlite*"):
             path.unlink()
-        assert main(["query", "--root", root, "--backfill",
-                     "--jobs"]) == 0
+        assert main(["query", "--root", root, "--backfill"]) == 0
         captured = capsys.readouterr()
         assert "backfilled 1 job(s)" in captured.err
         assert job_id in captured.out

@@ -158,18 +158,7 @@ def _registry() -> Dict[str, Tuple[str, Callable, Optional[Callable]]]:
     }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Reproduce 'Active Measurement of Memory Resource "
-        "Consumption' (Casas & Bronevetsky, IPDPS 2014)",
-    )
-    sub = parser.add_subparsers(dest="command")
-
-    sub.add_parser("list", help="list reproducible experiments")
-    sub.add_parser("version", help="print package version")
-
-    run_p = sub.add_parser("run", help="run one experiment")
+def _add_run_args(run_p: argparse.ArgumentParser) -> None:
     run_p.add_argument("experiment", help="experiment id (see 'list')")
     run_p.add_argument(
         "--mode", choices=("smoke", "paper", "full"), default=None,
@@ -230,11 +219,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "(default: REPRO_TRACE env; unset disables tracing)",
     )
 
-    mach_p = sub.add_parser("machine", help="describe the Table I machine")
+
+def _add_machine_args(mach_p: argparse.ArgumentParser) -> None:
     mach_p.add_argument("--scale", type=int, default=None,
                         help="geometric down-scale (default: 16)")
 
-    bench_p = sub.add_parser("bench", help="engine microbenchmarks")
+
+def _add_bench_args(bench_p: argparse.ArgumentParser) -> None:
     bench_p.add_argument(
         "target", choices=("engine",),
         help="what to benchmark (currently only 'engine')",
@@ -266,18 +257,16 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record a span trace of the bench run (see 'run --trace')",
     )
 
-    trace_p = sub.add_parser(
-        "trace", help="summarise a recorded span trace",
-    )
+
+def _add_trace_args(trace_p: argparse.ArgumentParser) -> None:
     trace_p.add_argument(
         "file",
         help="trace file: the Chrome JSON exported by --trace, or its "
         "crash-safe .jsonl event log",
     )
 
-    submit_p = sub.add_parser(
-        "submit", help="submit a measurement job to the service queue",
-    )
+
+def _add_submit_args(submit_p: argparse.ArgumentParser) -> None:
     submit_p.add_argument("--root", required=True, metavar="DIR",
                           help="service root directory (shared with serve)")
     submit_p.add_argument("--app", default="probe",
@@ -301,9 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--param buffer_bytes=52428800 --param dist=zipf",
     )
 
-    serve_p = sub.add_parser(
-        "serve", help="drain the service queue with a supervised fleet",
-    )
+
+def _add_serve_args(serve_p: argparse.ArgumentParser) -> None:
     serve_p.add_argument("--root", required=True, metavar="DIR")
     serve_p.add_argument("--agents", type=int, default=2, metavar="N",
                          help="agent processes to supervise (default: 2)")
@@ -322,16 +310,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="record a span trace of the serve run (see 'run --trace')",
     )
 
-    queue_p = sub.add_parser(
-        "queue", help="inspect the service queue",
-    )
+
+def _add_queue_args(queue_p: argparse.ArgumentParser) -> None:
     queue_p.add_argument("--root", required=True, metavar="DIR")
     queue_p.add_argument("--job", default=None, metavar="ID",
                          help="print one job's full state")
 
-    query_p = sub.add_parser(
-        "query", help="query the service's point index",
-    )
+
+def _add_query_args(query_p: argparse.ArgumentParser) -> None:
     query_p.add_argument("--root", required=True, metavar="DIR")
     query_p.add_argument("--tenant", default=None)
     query_p.add_argument("--app", default=None,
@@ -351,6 +337,48 @@ def _build_parser() -> argparse.ArgumentParser:
         help="first write the rows of done jobs the store lacks from "
         "their JSON artifacts (repairs a deleted store)",
     )
+
+
+_AddArgs = Callable[[argparse.ArgumentParser], None]
+
+#: verb -> (help line, function adding the verb's arguments), in the
+#: order ``repro --help`` lists them.
+_VERBS: Dict[str, Tuple[str, Optional[_AddArgs]]] = {
+    "list": ("list reproducible experiments", None),
+    "version": ("print package version", None),
+    "run": ("run one experiment", _add_run_args),
+    "machine": ("describe the Table I machine", _add_machine_args),
+    "bench": ("engine microbenchmarks", _add_bench_args),
+    "trace": ("summarise a recorded span trace", _add_trace_args),
+    "submit": ("submit a measurement job to the service queue",
+               _add_submit_args),
+    "serve": ("drain the service queue with a supervised fleet",
+              _add_serve_args),
+    "queue": ("inspect the service queue", _add_queue_args),
+    "query": ("query the service's point index", _add_query_args),
+}
+
+
+def _build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser; with ``verb``, only that verb's subparser.
+    The verb list in the usage line stays complete either way, so help
+    and error text do not depend on how much was built."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Reproduce 'Active Measurement of Memory Resource "
+        "Consumption' (Casas & Bronevetsky, IPDPS 2014)",
+    )
+    # An explicit metavar would rename the subcommand argument in an
+    # invalid-choice error, which only the full parser can raise.
+    sub = parser.add_subparsers(
+        dest="command",
+        metavar=None if verb is None else "{" + ",".join(_VERBS) + "}",
+    )
+    for name, (help_text, add_args) in _VERBS.items():
+        if verb in (None, name):
+            verb_p = sub.add_parser(name, help=help_text)
+            if add_args is not None:
+                add_args(verb_p)
     return parser
 
 
@@ -484,8 +512,6 @@ def _cmd_queue(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    import json
-
     from .service import DurableBroker, ResultsStore
 
     _require_queue(args.root)
@@ -494,14 +520,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
         n = store.backfill(DurableBroker(args.root))
         print(f"backfilled {n} job(s) from the broker state and JSON "
               "artifacts", file=sys.stderr)
-    rows = store.query_points(
+    filters = dict(
         tenant=args.tenant, app=args.app, preset=args.preset,
         kind=args.kind, job_id=args.job,
         k_min=args.k_min, k_max=args.k_max,
     )
     if args.as_json:
-        print(json.dumps(rows, sort_keys=True, indent=1))
+        print(store.query_json(**filters))
         return 0
+    rows = store.query_points(**filters)
     print(f"{'job':22s} {'tenant':10s} {'app':8s} {'preset':9s} "
           f"{'kind':4s} {'k':>3s} {'slowdown':>9s} {'t/access ns':>12s}")
     for row in rows:
@@ -593,7 +620,9 @@ def _finish_trace(path: Optional[Path]) -> None:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A CLI process runs one verb, so build only its subparser.
+    parser = _build_parser(argv[0] if argv and argv[0] in _VERBS else None)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()

@@ -7,8 +7,7 @@ chaos drills — but they are opaque to queries: answering "every
 capacity-sweep point tenant alice ran on the xeon preset with k ≤ 3"
 means opening every file and replaying the broker log for the job
 identities. The store indexes the artifacts' points: one ``points`` row
-per interference point (k, slowdown, per-core miss rates and
-bandwidths, timings) and one ``jobs`` row per completed job holding
+per interference point and one ``jobs`` row per completed job holding
 only the identity the filters need (tenant, app, preset, trace id,
 submission time). Job *state* is not mirrored here; ``repro queue``
 reads it from the broker log.
@@ -20,17 +19,25 @@ Design rules:
   repairable at any time via :meth:`ResultsStore.backfill`, which
   re-reads the artifacts. Nothing in the service's exactly-once
   argument depends on the store.
-- **Byte parity with the artifact.** Point rows keep the artifact's
-  exact ``repr``-float strings (alongside derived numeric columns for
-  range queries), so :meth:`point_payload` reconstructs the artifact
-  payload exactly and the ``service-smoke`` CI job can assert
-  byte-for-byte equality after a backfill.
+- **Rows are rendered once, at write time.** A point row holds only
+  the columns SQL reads (job, index, kind, k) plus ``row_json``: the
+  row's final ``repro query --json`` text (the artifact's point, its
+  slowdown against the job's k-lowest point and the job identity),
+  exactly as ``json.dumps(rows, sort_keys=True, indent=1)`` renders it
+  as a list element. :meth:`query_json` joins the stored texts instead
+  of parsing and re-encoding every row.
+- **Byte parity with the artifact.** The row text keeps the artifact's
+  exact ``repr``-float strings, so :meth:`point_payload` reconstructs
+  the artifact payload exactly and the ``service-smoke`` CI job can
+  assert byte-for-byte equality after a backfill.
 - **WAL mode, one writer per process.** Each agent process owns one
   connection; SQLite's WAL journal lets the fleet's writers interleave
   under ``busy_timeout`` while ``repro query`` readers never block.
 - **Schema-versioned.** The ``meta`` table records
-  :data:`STORE_SCHEMA`; opening a store written by a different schema
-  fails loudly instead of silently misreading rows.
+  :data:`STORE_SCHEMA` (3 since rows are stored rendered); opening a
+  store written by a different schema fails loudly instead of silently
+  misreading rows, naming the rebuild: delete the file, then run
+  ``repro query --backfill``.
 """
 
 from __future__ import annotations
@@ -43,8 +50,8 @@ from typing import Any, Dict, Iterable, List, Optional
 from ..errors import ServiceError
 from .broker import DONE, DurableBroker, JobRecord
 
-#: Bump on any change to the table layout below.
-STORE_SCHEMA = 2
+#: Bump on any change to the table layout or the row text below.
+STORE_SCHEMA = 3
 
 #: Default store filename inside a service root.
 STORE_NAME = "store.sqlite"
@@ -65,27 +72,30 @@ CREATE TABLE IF NOT EXISTS jobs (
 CREATE INDEX IF NOT EXISTS jobs_tenant ON jobs(tenant);
 CREATE INDEX IF NOT EXISTS jobs_app_preset ON jobs(app, preset);
 CREATE TABLE IF NOT EXISTS points (
-    job_id             TEXT NOT NULL REFERENCES jobs(job_id),
-    idx                INTEGER NOT NULL,
-    kind               TEXT NOT NULL,
-    k                  INTEGER NOT NULL,
-    slowdown           REAL,
-    t_access_ns        REAL NOT NULL,
-    makespan_ns        TEXT NOT NULL,
-    time_per_access_ns TEXT NOT NULL,
-    main_cores_json    TEXT NOT NULL,
-    l3_miss_rates_json TEXT NOT NULL,
-    bandwidths_json    TEXT NOT NULL,
+    job_id   TEXT NOT NULL REFERENCES jobs(job_id),
+    idx      INTEGER NOT NULL,
+    kind     TEXT NOT NULL,
+    k        INTEGER NOT NULL,
+    row_json TEXT NOT NULL,
     PRIMARY KEY (job_id, idx)
 );
 CREATE INDEX IF NOT EXISTS points_k ON points(k);
 """
 
+#: The artifact's per-point keys, which :meth:`ResultsStore.point_payload`
+#: takes back out of a row.
+_ARTIFACT_KEYS = ("kind", "k", "makespan_ns", "main_cores", "l3_miss_rates",
+                  "bandwidths_Bps", "time_per_access_ns")
 
-def _point_rows(job_id: str, payload: Iterable[Dict[str, Any]]) -> List[tuple]:
-    """Flatten an artifact payload into ``points`` rows, deriving the
-    per-point slowdown against the job's lowest-k point (the paper's
-    uncontended baseline, k=0 in every shipped sweep)."""
+
+def _point_rows(
+    job: JobRecord, payload: Iterable[Dict[str, Any]]
+) -> List[tuple]:
+    """Render an artifact payload into ``points`` rows. Each row's text
+    is the artifact point plus its slowdown against the job's lowest-k
+    point (the paper's uncontended baseline, k=0 in every shipped
+    sweep) and the job identity, laid out as one element of
+    ``json.dumps(rows, sort_keys=True, indent=1)``."""
     points = list(payload)
     baseline: Optional[float] = None
     if points:
@@ -95,23 +105,25 @@ def _point_rows(job_id: str, payload: Iterable[Dict[str, Any]]) -> List[tuple]:
     rows = []
     for idx, point in enumerate(points):
         t_access = float(point["time_per_access_ns"])
-        slowdown = (t_access / baseline) if baseline else None
-        rows.append((
-            job_id,
-            idx,
-            str(point["kind"]),
-            int(point["k"]),
-            slowdown,
-            t_access,
-            str(point["makespan_ns"]),
-            str(point["time_per_access_ns"]),
-            json.dumps(point["main_cores"], sort_keys=True,
-                       separators=(",", ":")),
-            json.dumps(point["l3_miss_rates"], sort_keys=True,
-                       separators=(",", ":")),
-            json.dumps(point["bandwidths_Bps"], sort_keys=True,
-                       separators=(",", ":")),
-        ))
+        row = {
+            "job_id": job.id,
+            "idx": idx,
+            "kind": str(point["kind"]),
+            "k": int(point["k"]),
+            "slowdown": (t_access / baseline) if baseline else None,
+            "t_access_ns": t_access,
+            "makespan_ns": str(point["makespan_ns"]),
+            "time_per_access_ns": str(point["time_per_access_ns"]),
+            "main_cores": point["main_cores"],
+            "l3_miss_rates": point["l3_miss_rates"],
+            "bandwidths_Bps": point["bandwidths_Bps"],
+            "tenant": job.tenant,
+            "app": job.spec.app,
+            "preset": job.spec.preset,
+            "trace_id": job.trace_id,
+        }
+        text = json.dumps([row], sort_keys=True, indent=1)[2:-2]
+        rows.append((job.id, idx, row["kind"], row["k"], text))
     return rows
 
 
@@ -151,13 +163,15 @@ class ResultsStore:
                     "INSERT INTO meta(key, value) VALUES('schema', ?)",
                     (str(STORE_SCHEMA),),
                 )
-            elif int(row["value"]) != STORE_SCHEMA:
-                raise ServiceError(
-                    f"results store {self.path} has schema "
-                    f"{row['value']}, this build expects {STORE_SCHEMA}; "
-                    "migrate or rebuild it with 'repro query --backfill' "
-                    "against a fresh file"
-                )
+        if row is not None and int(row["value"]) != STORE_SCHEMA:
+            self._conn.close()
+            raise ServiceError(
+                f"results store {self.path} has schema {row['value']}, "
+                f"this build expects {STORE_SCHEMA}; it is derived data: "
+                f"delete {self.path}* and run 'repro query --root "
+                f"{self.root} --backfill' to rebuild it from the JSON "
+                "artifacts"
+            )
 
     def close(self) -> None:
         self._conn.close()
@@ -173,10 +187,10 @@ class ResultsStore:
     def record_job(
         self, job: JobRecord, payload: Iterable[Dict[str, Any]]
     ) -> None:
-        """Write one completed job's identity row and replace its point
-        rows in a single transaction. Idempotent: a zombie attempt
-        racing its replacement writes identical rows — point purity
-        again, now at the store layer."""
+        """Write one completed job's identity row and replace its
+        rendered point rows in a single transaction. Idempotent: a
+        zombie attempt racing its replacement writes identical rows —
+        point purity again, now at the store layer."""
         with self._conn:
             self._conn.execute(
                 """
@@ -189,14 +203,9 @@ class ResultsStore:
             )
             self._conn.execute("DELETE FROM points WHERE job_id=?", (job.id,))
             self._conn.executemany(
-                """
-                INSERT INTO points(job_id, idx, kind, k, slowdown,
-                                   t_access_ns, makespan_ns,
-                                   time_per_access_ns, main_cores_json,
-                                   l3_miss_rates_json, bandwidths_json)
-                VALUES(?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-                """,
-                _point_rows(job.id, payload),
+                "INSERT INTO points(job_id, idx, kind, k, row_json) "
+                "VALUES(?, ?, ?, ?, ?)",
+                _point_rows(job, payload),
             )
 
     def backfill(self, broker: DurableBroker) -> int:
@@ -230,16 +239,7 @@ class ResultsStore:
 
     # -- queries ----------------------------------------------------------------
 
-    @staticmethod
-    def _filters(
-        clauses: List[str], params: List[Any], **where: Any
-    ) -> None:
-        for column, value in where.items():
-            if value is not None:
-                clauses.append(f"{column} = ?")
-                params.append(value)
-
-    def query_points(
+    def _row_texts(
         self,
         tenant: Optional[str] = None,
         app: Optional[str] = None,
@@ -248,62 +248,52 @@ class ResultsStore:
         job_id: Optional[str] = None,
         k_min: Optional[int] = None,
         k_max: Optional[int] = None,
-    ) -> List[Dict[str, Any]]:
-        """Interference-point rows joined with their job's identity
-        columns, ordered by job then k. ``k_min``/``k_max`` bound the
-        interference level inclusively."""
+    ) -> List[str]:
+        """The stored text of every point row that matches the filters,
+        ordered by job submission, then job, then point. ``k_min`` and
+        ``k_max`` bound the interference level inclusively."""
         clauses: List[str] = []
         params: List[Any] = []
-        self._filters(clauses, params, **{
-            "jobs.tenant": tenant, "jobs.app": app, "jobs.preset": preset,
-            "points.kind": kind, "points.job_id": job_id,
-        })
-        if k_min is not None:
-            clauses.append("points.k >= ?")
-            params.append(int(k_min))
-        if k_max is not None:
-            clauses.append("points.k <= ?")
-            params.append(int(k_max))
-        sql = (
-            "SELECT points.*, jobs.tenant, jobs.app, jobs.preset, "
-            "jobs.trace_id FROM points JOIN jobs "
-            "ON jobs.job_id = points.job_id"
-        )
+        for clause, value in (
+            ("jobs.tenant = ?", tenant),
+            ("jobs.app = ?", app),
+            ("jobs.preset = ?", preset),
+            ("points.kind = ?", kind),
+            ("points.job_id = ?", job_id),
+            ("points.k >= ?", None if k_min is None else int(k_min)),
+            ("points.k <= ?", None if k_max is None else int(k_max)),
+        ):
+            if value is not None:
+                clauses.append(clause)
+                params.append(value)
+        sql = ("SELECT points.row_json FROM points JOIN jobs "
+               "ON jobs.job_id = points.job_id")
         if clauses:
             sql += " WHERE " + " AND ".join(clauses)
         sql += " ORDER BY jobs.submitted_at, points.job_id, points.idx"
-        out = []
-        for row in self._conn.execute(sql, params):
-            record = dict(row)
-            record["main_cores"] = json.loads(record.pop("main_cores_json"))
-            record["l3_miss_rates"] = json.loads(
-                record.pop("l3_miss_rates_json"))
-            record["bandwidths_Bps"] = json.loads(
-                record.pop("bandwidths_json"))
-            out.append(record)
-        return out
+        return [row[0] for row in self._conn.execute(sql, params)]
+
+    def query_points(self, **filters: Any) -> List[Dict[str, Any]]:
+        """Interference-point rows joined with their job's identity, as
+        dicts; ``filters`` are :meth:`_row_texts`'s (tenant, app,
+        preset, kind, job_id, k_min, k_max)."""
+        return [json.loads(text) for text in self._row_texts(**filters)]
+
+    def query_json(self, **filters: Any) -> str:
+        """``json.dumps(self.query_points(**filters), sort_keys=True,
+        indent=1)``, joined from the stored row texts without parsing
+        or encoding one."""
+        texts = self._row_texts(**filters)
+        return "[\n" + ",\n".join(texts) + "\n]" if texts else "[]"
 
     def point_payload(self, job_id: str) -> List[Dict[str, Any]]:
         """Reconstruct the job's artifact payload exactly (the byte
         parity contract: ``json.dumps(store.point_payload(j),
         sort_keys=True, indent=1)`` equals the artifact file)."""
-        rows = self._conn.execute(
-            "SELECT * FROM points WHERE job_id=? ORDER BY idx", (job_id,)
-        ).fetchall()
+        rows = self.query_points(job_id=job_id)
         if not rows:
             raise ServiceError(
                 f"no point rows for job {job_id!r} in {self.path}; "
                 "run 'repro query --backfill' if the artifact exists"
             )
-        return [
-            {
-                "kind": row["kind"],
-                "k": row["k"],
-                "makespan_ns": row["makespan_ns"],
-                "main_cores": json.loads(row["main_cores_json"]),
-                "l3_miss_rates": json.loads(row["l3_miss_rates_json"]),
-                "bandwidths_Bps": json.loads(row["bandwidths_json"]),
-                "time_per_access_ns": row["time_per_access_ns"],
-            }
-            for row in rows
-        ]
+        return [{key: row[key] for key in _ARTIFACT_KEYS} for row in rows]

@@ -9,6 +9,17 @@ from repro.errors import ServiceError
 from repro.service import JobSpec, ResultsStore, ServiceClient
 
 
+#: One of each ``repro query`` filter shape, plus one that matches
+#: nothing.
+FILTERS = (
+    {},
+    {"tenant": "alice"},
+    {"app": "stream", "kind": "cs"},
+    {"k_min": 1, "k_max": 1},
+    {"preset": "xeon20mb"},
+)
+
+
 def spec(ks=(0, 1), seed=0, app="probe", **overrides):
     base = dict(app=app, preset="tiny", kind="cs", ks=ks, seed=seed,
                 warmup_accesses=2_000, measure_accesses=1_000)
@@ -79,6 +90,16 @@ class TestBackfill:
         for job_id in (j1, j2):
             assert fresh.point_payload(job_id) == reference[job_id]
 
+    def test_backfilled_store_gives_the_agent_written_json(self, drained,
+                                                           tmp_path):
+        client, j1, j2 = drained
+        fresh = ResultsStore(tmp_path, path=tmp_path / "fresh.sqlite")
+        assert fresh.backfill(client.broker) == 2
+        for filters in FILTERS:
+            assert (fresh.query_json(**filters)
+                    == client.store.query_json(**filters)), filters
+        assert client.store.query_json(job_id=j2) != "[]"
+
     def test_backfill_is_incremental(self, drained, tmp_path):
         client, *_ = drained
         assert client.store.backfill(client.broker) == 0  # nothing missing
@@ -135,6 +156,15 @@ class TestQueries:
         assert client.store.query_points(k_min=2, k_max=5) == []
         both = client.store.query_points(k_min=0, k_max=1)
         assert len(both) == 4
+
+    def test_query_json_is_the_indented_dump_of_query_points(self, drained):
+        client, *_ = drained
+        for filters in FILTERS:
+            assert client.store.query_json(**filters) == json.dumps(
+                client.store.query_points(**filters),
+                sort_keys=True, indent=1,
+            ), filters
+        assert client.store.query_json(preset="xeon20mb") == "[]"
 
 
 class TestSchemaAndConcurrency:

@@ -1,12 +1,25 @@
 """Command-line interface."""
 
 import json
+import re
 
 import pytest
 
 from repro import __version__
 from repro.analysis import ExperimentRecord
-from repro.cli import main, _registry
+from repro.cli import _build_parser, _registry, main
+
+#: Every verb, in the order ``repro --help`` lists them.
+VERBS = ("list", "version", "run", "machine", "bench", "trace", "submit",
+         "serve", "queue", "query")
+
+
+def _verb_help(parser, verb, capsys):
+    """What ``repro <verb> --help`` prints through ``parser``."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args([verb, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
 
 
 class TestBasicCommands:
@@ -28,7 +41,23 @@ class TestBasicCommands:
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
-        assert "usage" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "usage" in out
+        assert "{" + ",".join(VERBS) + "}" in out
+        # One "    <verb>   <help>" line per verb, in table order.
+        assert tuple(re.findall(r"^    (\w+) +\S", out, re.M)) == VERBS
+
+
+class TestParserSplit:
+    """main builds only the invoked verb's subparser; nothing a user
+    reads may tell the difference."""
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_verb_only_parser_matches_the_full_parser(self, verb, capsys):
+        alone, full = _build_parser(verb), _build_parser()
+        assert alone.format_usage() == full.format_usage()
+        assert _verb_help(alone, verb, capsys) == _verb_help(
+            full, verb, capsys)
 
 
 class TestRun:
@@ -309,13 +338,50 @@ class TestQueryVerb:
         assert main(["query", "--root", root, "--k-min", "1"]) == 0
         assert "1 point row(s)" in capsys.readouterr().err
 
-    def test_json_output_is_parseable(self, served_root, capsys):
-        root, job_id = served_root
-        assert main(["query", "--root", root, "--json",
-                     "--job", job_id]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert [r["k"] for r in rows] == [0, 1]
-        assert rows[0]["job_id"] == job_id
+    def test_json_output_is_parseable(self, tmp_path, capsys):
+        """``--json`` bytes, pinned against rows built from the client's
+        view of each job rather than from the store."""
+        from repro.service import ServiceClient
+
+        root = str(tmp_path / "svc")
+        ids = []
+        for extra in (["--tenant", "alice"],
+                      ["--tenant", "bob", "--app", "stream", "--kind", "bw",
+                       "--ks", "0,2"]):
+            assert main(self.SUBMIT + ["--root", root] + extra) == 0
+            ids.append(capsys.readouterr().out.strip())
+        assert main(["serve", "--root", root, "--inline"]) == 0
+        capsys.readouterr()
+
+        client = ServiceClient(root)
+        rows = []
+        for job_id in ids:
+            job, payload = client.status(job_id), client.result(job_id)
+            base = float(min(payload, key=lambda p: p["k"])
+                         ["time_per_access_ns"])
+            for idx, point in enumerate(payload):
+                t_access = float(point["time_per_access_ns"])
+                rows.append(dict(
+                    point, job_id=job_id, idx=idx,
+                    slowdown=t_access / base, t_access_ns=t_access,
+                    tenant=job.tenant, app=job.spec.app,
+                    preset=job.spec.preset, trace_id=job.trace_id,
+                ))
+        cases = [
+            ([], rows),
+            (["--job", ids[1]], [r for r in rows if r["job_id"] == ids[1]]),
+            (["--app", "stream", "--kind", "bw"],
+             [r for r in rows if (r["app"], r["kind"]) == ("stream", "bw")]),
+            (["--k-min", "1", "--k-max", "2"],
+             [r for r in rows if 1 <= r["k"] <= 2]),
+            (["--tenant", "nobody"], []),
+        ]
+        for argv, expected in cases:
+            assert main(["query", "--root", root, "--json", *argv]) == 0
+            out = capsys.readouterr().out
+            assert out == json.dumps(expected, sort_keys=True,
+                                     indent=1) + "\n", argv
+        assert out == "[]\n"
 
     def test_backfill_rebuilds_a_deleted_store(self, served_root, capsys):
         from pathlib import Path
@@ -327,3 +393,28 @@ class TestQueryVerb:
         captured = capsys.readouterr()
         assert "backfilled 1 job(s)" in captured.err
         assert job_id in captured.out
+
+    def test_schema_mismatch_names_a_rebuild_that_works(self, served_root,
+                                                        capsys):
+        import sqlite3
+        from pathlib import Path
+
+        root, _ = served_root
+        assert main(["query", "--root", root, "--json"]) == 0
+        before = capsys.readouterr().out
+        store = Path(root) / "store.sqlite"
+        with sqlite3.connect(store) as conn:
+            conn.execute("UPDATE meta SET value='2' WHERE key='schema'")
+        conn.close()
+
+        assert main(["query", "--root", root, "--json"]) == 1
+        err = capsys.readouterr().err
+        assert f"delete {store}*" in err
+        assert f"'repro query --root {root} --backfill'" in err
+        # The advice works: delete, backfill, and the rows come back.
+        for path in Path(root).glob("store.sqlite*"):
+            path.unlink()
+        assert main(["query", "--root", root, "--backfill"]) == 0
+        capsys.readouterr()
+        assert main(["query", "--root", root, "--json"]) == 0
+        assert capsys.readouterr().out == before

@@ -1,38 +1,47 @@
-"""Records check: regenerated experiment records == committed records.
+"""Regenerate experiment records and check them against the committed ones.
 
-For each experiment named on the command line (the names ``repro
-list`` prints), regenerate its smoke-mode, seed-0 record with ``repro
-run --no-cache`` into a temporary directory and compare every key except
-``telemetry`` with the committed ``results/<experiment_id>.json``. The
-record's own ``experiment_id`` names the committed file, so an
-experiment whose record id differs from its command name (``related_work``
-writes ``related_work_bubble``) is checked too. Floats compare exactly,
-so any change in the last bit of a simulated or modelled number fails
-the check.
+Runs every experiment that ``repro list`` prints (or the ones named) in
+this process, at seed 0 and without the point cache or journal. Each
+record is compared key for key, floats exactly, with the committed
+``results/<experiment_id>.json`` (``results/<mode>/`` outside smoke
+mode), ignoring ``telemetry``; then it must hold its paper shape, the
+entry of ``SHAPES`` in ``tests/experiments/test_paper_shapes.py``.
+``--write`` stores the records instead of comparing them. ``--resume``
+skips the experiments a killed run journaled in the temp directory.
+Prints each wall time and the total; exits 1 listing every failure, 2
+on a usage error or a leftover journal::
 
-Exit status 0 = every record matches; 1 = at least one differs, with
-the experiment and the first differing key printed. Used by the CI
-``test`` and ``no-ckernel`` jobs over every experiment, and runnable
-locally::
-
-    PYTHONPATH=src python scripts/check_records.py fig5 fig6 colocation
-    PYTHONPATH=src python scripts/check_records.py \
-        $(PYTHONPATH=src python -m repro list | cut -d' ' -f1)
+    PYTHONPATH=src python scripts/check_records.py             # all, smoke
+    PYTHONPATH=src python scripts/check_records.py fig5 fig6
+    PYTHONPATH=src python scripts/check_records.py --mode paper --write
 """
 from __future__ import annotations
 
 import argparse
 import json
+import linecache
 import os
-import subprocess
 import sys
 import tempfile
 import time
+import traceback
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, List, Optional, Tuple
 
 REPO = Path(__file__).resolve().parents[1]
+for _path in (REPO, REPO / "src"):  # the shape table, then repro itself
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
+
+from repro.analysis import ExperimentRecord  # noqa: E402
+from repro.cli import _finish_trace, _start_trace  # noqa: E402
+from repro.core.journal import append_jsonl, iter_jsonl  # noqa: E402
+from repro.experiments import EXPERIMENTS  # noqa: E402
+from repro.obs.tracer import span as trace_span  # noqa: E402
+from tests.experiments.test_paper_shapes import SHAPES  # noqa: E402
+
 RESULTS = REPO / "results"
+JOURNAL_DIR = Path(tempfile.gettempdir())
 
 
 def first_difference(got: Any, want: Any, path: str = "") -> Optional[str]:
@@ -60,58 +69,130 @@ def first_difference(got: Any, want: Any, path: str = "") -> Optional[str]:
     return None
 
 
-def regenerate(experiment: str, out_dir: Path) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p
+def shape_failure(exc: BaseException) -> str:
+    """The statement a shape check failed on, with the scalars it read."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    line = linecache.getline(tb.tb_frame.f_code.co_filename,
+                             tb.tb_lineno).strip()
+    if not isinstance(exc, AssertionError):
+        line = f"{type(exc).__name__}: {exc} in {line!r}"
+    elif exc.args:
+        line += f" ({exc.args[0]})"
+    scalars = ", ".join(
+        f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v!r}"
+        for k, v in tb.tb_frame.f_locals.items()
+        if isinstance(v, (int, float, str))
     )
-    cmd = [sys.executable, "-m", "repro", "run", experiment, "--mode",
-           "smoke", "--seed", "0", "--no-cache", "--out", str(out_dir)]
-    proc = subprocess.run(cmd, env=env, cwd=REPO, capture_output=True,
-                          text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"{' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr}"
-        )
-    records = sorted(out_dir.glob("*.json"))
-    if len(records) != 1:
-        raise RuntimeError(
-            f"{' '.join(cmd[1:])} wrote {len(records)} records, expected 1"
-        )
-    return json.loads(records[0].read_text())
+    return f"shape: {line}" + (f" [{scalars}]" if scalars else "")
+
+
+def check(name: str, mode: str, write: bool,
+          records: Path) -> Tuple[List[str], List[str]]:
+    """Regenerate experiment ``name``: the problems found, if any, and
+    the record's notes."""
+    _, run, _ = EXPERIMENTS[name]
+    try:
+        with trace_span("experiment", cat="experiment", experiment=name):
+            record = run(mode, seed=0)
+    except Exception as exc:
+        traceback.print_exc()
+        return [f"driver raised {type(exc).__name__}: {exc}"], []
+    # Check the record as its JSON file holds it, like tier-1 does.
+    got = json.loads(record.to_json())
+    committed = records / f"{record.experiment_id}.json"
+    problems = []
+    if write:
+        record.save(records)
+    elif not committed.exists():
+        problems.append(f"no committed record {committed}")
+    else:
+        want = json.loads(committed.read_text())
+        want.pop("telemetry", None)
+        diff = first_difference(got, want)
+        if diff is not None:
+            problems.append(f"record differs at {diff}")
+    try:
+        SHAPES[name](ExperimentRecord(**got))
+    except Exception as exc:
+        problems.append(shape_failure(exc))
+    return problems, record.notes
 
 
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("experiments", nargs="+", metavar="EXP")
+    parser.add_argument(
+        "experiments", nargs="*", metavar="EXP",
+        help="experiments to regenerate (default: all of 'repro list')",
+    )
+    parser.add_argument(
+        "--mode", choices=("smoke", "paper", "full"), default="smoke",
+        help="grid size; records live in results/ for smoke, "
+        "results/<mode>/ otherwise (default: smoke)",
+    )
+    parser.add_argument(
+        "--write", action="store_true",
+        help="store the regenerated records instead of comparing them",
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="skip the experiments a killed run with the same --mode and "
+        "--write already journaled",
+    )
+    parser.add_argument(
+        "--trace", default=None, metavar="FILE",
+        help="record a span trace of the whole run: event log at "
+        "FILE.jsonl, Chrome/Perfetto JSON exported to FILE at the end",
+    )
     args = parser.parse_args(argv)
+    unknown = [e for e in args.experiments if e not in EXPERIMENTS]
+    if unknown:
+        parser.error(f"unknown experiment(s) {unknown}; see 'repro list'")
+    names = args.experiments or list(EXPERIMENTS)
+    records = RESULTS if args.mode == "smoke" else RESULTS / args.mode
 
-    failed = 0
-    for exp in args.experiments:
-        t0 = time.perf_counter()
-        with tempfile.TemporaryDirectory(prefix=f"records-{exp}-") as tmp:
-            try:
-                got = regenerate(exp, Path(tmp))
-            except RuntimeError as exc:
-                print(f"FAIL {exp}: {exc}")
-                failed += 1
-                continue
-        committed = RESULTS / f"{got['experiment_id']}.json"
-        if not committed.exists():
-            print(f"FAIL {exp}: no committed record {committed}")
-            failed += 1
-            continue
-        want = json.loads(committed.read_text())
-        got.pop("telemetry", None)
-        want.pop("telemetry", None)
-        diff = first_difference(got, want)
-        dt = time.perf_counter() - t0
-        if diff is None:
-            print(f"ok   {exp} ({dt:.1f} s)")
+    journal = JOURNAL_DIR / (
+        f"check_records-{args.mode}{'-write' if args.write else ''}.jsonl")
+    if journal.exists() and journal.stat().st_size > 0 and not args.resume:
+        print(f"journal {journal} already exists; pass --resume to continue "
+              "that run, or delete the file to start over", file=sys.stderr)
+        return 2
+    done = {e["name"]: e for e in iter_jsonl(journal)} if args.resume else {}
+
+    # Measure every point afresh, as `repro run --no-cache` does.
+    os.environ.pop("REPRO_CACHE_DIR", None)
+    os.environ.pop("REPRO_JOURNAL", None)
+    trace_path = _start_trace(args)
+    failed, total = [], 0.0
+    for name in names:
+        if name in done:
+            problems, wall = done[name]["problems"], done[name]["wall_s"]
+            status, notes = "journaled, ", []
         else:
-            print(f"FAIL {exp}: first differing key {diff}")
-            failed += 1
-    return 1 if failed else 0
+            t0 = time.perf_counter()
+            problems, notes = check(name, args.mode, args.write, records)
+            wall = time.perf_counter() - t0
+            append_jsonl(journal, {"name": name, "problems": problems,
+                                   "wall_s": wall})
+            status = ""
+        total += wall
+        line = f"{'FAIL' if problems else 'ok  '} {name} ({status}{wall:.1f} s)"
+        if problems:
+            failed.append(name)
+            line += ": " + "; ".join(problems)
+        print(line)
+        for note in notes:
+            print(f"     {note}")
+        sys.stdout.flush()
+    _finish_trace(trace_path)
+    journal.unlink(missing_ok=True)
+    print(f"total {total:.1f} s for {len(names)} experiment(s), "
+          f"{args.mode} mode, {len(failed)} failed")
+    if failed:
+        print("FAILED: " + " ".join(failed))
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

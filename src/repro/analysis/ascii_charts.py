@@ -1,9 +1,9 @@
 """Terminal-renderable charts for figure reproduction.
 
 The paper's figures are line charts with error bands; for a library that
-runs headless under pytest, an honest ASCII rendering keeps the shape of
-every reproduced figure visible in ``bench_output.txt`` without any
-plotting dependency.
+runs headless, an honest ASCII rendering keeps the shape of every
+reproduced figure visible in ``repro run``'s output without any plotting
+dependency.
 """
 
 from __future__ import annotations

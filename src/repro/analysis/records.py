@@ -1,8 +1,8 @@
 """Experiment records: structured, JSON-serialisable results.
 
-Every experiment driver returns one :class:`ExperimentRecord`; the bench
-harness persists them under ``results/`` so EXPERIMENTS.md can cite
-concrete numbers and reruns can be diffed.
+Every experiment driver returns one :class:`ExperimentRecord`;
+``scripts/check_records.py --write`` persists them under ``results/`` so
+EXPERIMENTS.md can cite concrete numbers and reruns can be diffed.
 """
 
 from __future__ import annotations
@@ -37,7 +37,12 @@ class ExperimentRecord:
         self.telemetry = dict(telemetry)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True, default=_jsonify)
+        """The record as JSON; a record without runner telemetry carries
+        no ``telemetry`` key, so its bytes depend only on its results."""
+        payload = asdict(self)
+        if not payload["telemetry"]:
+            del payload["telemetry"]
+        return json.dumps(payload, indent=2, sort_keys=True, default=_jsonify)
 
     def save(self, directory: str | Path) -> Path:
         """Write ``<directory>/<experiment_id>.json``; returns the path."""

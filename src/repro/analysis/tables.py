@@ -1,8 +1,8 @@
 """Fixed-width table rendering for experiment reports.
 
-The benchmark harness prints its reproduced tables/series through this
-module so every figure's output has a uniform, diff-able format in
-``bench_output.txt`` and ``EXPERIMENTS.md``.
+The experiment renderers that ``repro run`` prints go through this
+module, so every figure's output has a uniform, diff-able format, the
+one ``EXPERIMENTS.md`` quotes.
 """
 
 from __future__ import annotations

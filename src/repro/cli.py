@@ -77,87 +77,6 @@ from .config import xeon20mb
 from .errors import ReproError, ServiceError
 
 
-def _registry() -> Dict[str, Tuple[str, Callable, Optional[Callable]]]:
-    """experiment id -> (description, run fn, render fn)."""
-    from . import experiments as ex
-    from .experiments import ablations, related_work
-    from .experiments import calibration as calib_mod
-    from .experiments import colocation as colocation_mod
-    from .experiments import detection as detection_mod
-    from .experiments import fig5 as fig5_mod
-    from .experiments import fig6 as fig6_mod
-    from .experiments import fig7_fig8 as fig78_mod
-    from .experiments import fig9 as fig9_mod
-    from .experiments import fig10_fig12 as fig1012_mod
-    from .experiments import fig11 as fig11_mod
-    from .experiments import numa as numa_mod
-    from .experiments import robustness as robustness_mod
-
-    return {
-        "calibration": (
-            "Table I + Secs. II-A/III-A/III-C3 anchors",
-            ex.run_calibration, calib_mod.render,
-        ),
-        "fig5": ("Fig. 5: EHR model error", ex.run_fig5, fig5_mod.render),
-        "fig6": ("Fig. 6: capacity under CSThrs", ex.run_fig6, fig6_mod.render),
-        "fig7_fig8": (
-            "Figs. 7-8: orthogonality", ex.run_fig7_fig8, fig78_mod.render,
-        ),
-        "fig9": ("Fig. 9: MCB degradation", ex.run_fig9, fig9_mod.render),
-        "fig10": ("Fig. 10: MCB resource use", ex.run_fig10, fig1012_mod.render),
-        "fig11": ("Fig. 11: Lulesh degradation", ex.run_fig11, fig11_mod.render),
-        "fig12": ("Fig. 12: Lulesh resource use", ex.run_fig12, fig1012_mod.render),
-        "related_work": (
-            "Sec. V: bubble comparison",
-            ex.run_bubble_comparison, related_work.render,
-        ),
-        "ablation_prefetch": (
-            "Ablation: prefetch degree", ablations.run_prefetch_ablation, None,
-        ),
-        "ablation_replacement": (
-            "Ablation: replacement policy", ablations.run_replacement_ablation, None,
-        ),
-        "ablation_scale": (
-            "Ablation: machine scale", ablations.run_scale_ablation, None,
-        ),
-        "ablation_bwthr_capacity": (
-            "Ablation: BWThr L3 occupancy", ablations.run_bwthr_capacity_ablation, None,
-        ),
-        "ablation_noise": (
-            "Ablation: noise amplification", ablations.run_noise_ablation, None,
-        ),
-        "ablation_model_vs_trace": (
-            "Ablation: Eq.4 vs stack distance",
-            ablations.run_model_vs_trace_ablation, None,
-        ),
-        "ablation_sampling": (
-            "Ablation: set sampling accuracy", ablations.run_sampling_ablation, None,
-        ),
-        "ablation_quantum": (
-            "Ablation: interleave quantum", ablations.run_quantum_ablation, None,
-        ),
-        "ablation_writeback": (
-            "Ablation: writeback throttling", ablations.run_writeback_ablation, None,
-        ),
-        "detection_accuracy": (
-            "Extension: measurement vs ground truth",
-            ex.run_detection_accuracy, detection_mod.render,
-        ),
-        "colocation": (
-            "Extension: co-location advisor",
-            ex.run_colocation, colocation_mod.render,
-        ),
-        "robustness": (
-            "Extension: statistical vs fixed-threshold onset",
-            ex.run_robustness, robustness_mod.render,
-        ),
-        "numa": (
-            "Extension: 2-socket local/remote asymmetry",
-            ex.run_numa, numa_mod.render,
-        ),
-    }
-
-
 def _add_run_args(run_p: argparse.ArgumentParser) -> None:
     run_p.add_argument("experiment", help="experiment id (see 'list')")
     run_p.add_argument(
@@ -688,21 +607,24 @@ def main(argv: Optional[list] = None) -> int:
         print(f"baseline written to {out}", file=sys.stderr)
         return 0
 
-    registry = _registry()
     if args.command == "list":
-        width = max(len(k) for k in registry)
-        for name, (desc, _, _) in registry.items():
+        from .experiments import EXPERIMENTS
+
+        width = max(len(k) for k in EXPERIMENTS)
+        for name, (desc, _, _) in EXPERIMENTS.items():
             print(f"{name.ljust(width)}  {desc}")
         return 0
 
     if args.command == "run":
-        if args.experiment not in registry:
+        from .experiments import EXPERIMENTS
+
+        if args.experiment not in EXPERIMENTS:
             print(
                 f"unknown experiment {args.experiment!r}; run 'repro list'",
                 file=sys.stderr,
             )
             return 2
-        desc, run_fn, render_fn = registry[args.experiment]
+        desc, run_fn, render_fn = EXPERIMENTS[args.experiment]
         _apply_runner_options(args)
         trace_path = _start_trace(args)
         print(f"running {args.experiment} ({desc}) ...", file=sys.stderr)

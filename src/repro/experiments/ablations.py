@@ -20,7 +20,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -398,24 +398,3 @@ def run_writeback_ablation(mode: str | None = None, seed: int = 0) -> Experiment
         f"{on['csthr_under_5bw_ns_per_access']:.1f} ns/access"
     )
     return record
-
-
-def run_all(mode: str | None = None, seed: int = 0) -> List[ExperimentRecord]:
-    return [
-        run_prefetch_ablation(mode, seed),
-        run_replacement_ablation(mode, seed),
-        run_scale_ablation(mode, seed),
-        run_bwthr_capacity_ablation(mode, seed),
-        run_noise_ablation(mode, seed),
-        run_model_vs_trace_ablation(mode, seed),
-        run_sampling_ablation(mode, seed),
-        run_quantum_ablation(mode, seed),
-        run_writeback_ablation(mode, seed),
-    ]
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    for rec in run_all():
-        print(rec.title)
-        for n in rec.notes:
-            print(" ", n)

@@ -96,8 +96,3 @@ def render(record: ExperimentRecord) -> str:
         ),
     ]
     return "\n\n".join(parts)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    rec = run_calibration()
-    print(render(rec))

@@ -155,10 +155,3 @@ def render(record: ExperimentRecord) -> str:
     for desc in record.data["profiles"].values():
         lines.append(f"  {desc}")
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    rec = run_colocation()
-    print(render(rec))
-    for n in rec.notes:
-        print(" ", n)

@@ -4,8 +4,8 @@ Every paper figure/table has one module in this package exposing a
 ``run_<id>(mode) -> ExperimentRecord`` function. ``mode`` trades
 coverage for wall time:
 
-- ``smoke`` — minutes-scale subset used by CI and the default bench run;
-- ``paper`` — the grid recorded in EXPERIMENTS.md (tens of minutes);
+- ``smoke`` — seconds-scale subset that CI's records check regenerates;
+- ``paper`` — the grid recorded in EXPERIMENTS.md (minutes);
 - ``full``  — the paper's complete 660-configuration grids (hours).
 
 Select via the ``REPRO_MODE`` environment variable or the explicit
@@ -26,7 +26,7 @@ from ..units import MiB
 SMOKE, PAPER, FULL = "smoke", "paper", "full"
 _MODES = (SMOKE, PAPER, FULL)
 
-#: Where bench runs drop their ExperimentRecord JSON files.
+#: The committed ExperimentRecord JSON files (``repro run``'s default --out).
 DEFAULT_RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"
 
 

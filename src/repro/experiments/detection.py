@@ -98,10 +98,3 @@ def render(record: ExperimentRecord) -> str:
         title=record.title,
         float_fmt="{:.1f}",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    rec = run_detection_accuracy()
-    print(render(rec))
-    for n in rec.notes:
-        print(" ", n)

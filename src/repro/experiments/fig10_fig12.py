@@ -163,8 +163,3 @@ def render(record: ExperimentRecord) -> str:
         title=record.title,
         float_fmt="{:.2f}",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    print(render(run_fig10()))
-    print(render(run_fig12()))

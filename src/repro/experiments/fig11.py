@@ -119,8 +119,3 @@ def render(record: ExperimentRecord) -> str:
         float_fmt="{:.3f}",
     )
     return top + "\n\n" + bottom
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    rec = run_fig11()
-    print(render(rec))

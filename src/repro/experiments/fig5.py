@@ -83,9 +83,3 @@ def render(record: ExperimentRecord) -> str:
         y_label="abs miss-rate error",
     )
     return chart
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    rec = run_fig5()
-    print(render(rec))
-    print(rec.notes)

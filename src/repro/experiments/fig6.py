@@ -141,10 +141,3 @@ def render(record: ExperimentRecord) -> str:
         title=record.title,
         float_fmt="{:.2f}",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    rec = run_fig6()
-    print(render(rec))
-    for n in rec.notes:
-        print(n)

@@ -84,10 +84,3 @@ def render(record: ExperimentRecord) -> str:
         ),
     ]
     return "\n\n".join(parts)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    rec = run_fig7_fig8()
-    print(render(rec))
-    for n in rec.notes:
-        print(n)

@@ -118,8 +118,3 @@ def render(record: ExperimentRecord) -> str:
         float_fmt="{:.3f}",
     )
     return top + "\n\n" + bottom
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    rec = run_fig9()
-    print(render(rec))

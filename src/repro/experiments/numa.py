@@ -193,8 +193,3 @@ def render(record: ExperimentRecord) -> str:
             f"remote fraction {row['remote_fraction']:.3f}"
         )
     return "\n".join(lines)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    rec = run_numa()
-    print(render(rec))

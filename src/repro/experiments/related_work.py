@@ -143,10 +143,3 @@ def render(record: ExperimentRecord) -> str:
     rows = [r + ("",) * (width - len(r)) for r in rows]
     headers = ("victim", "probe") + tuple(f"lvl{i}" for i in range(width - 2))
     return format_table(headers, rows, title=record.title)
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    rec = run_bubble_comparison()
-    print(render(rec))
-    for n in rec.notes:
-        print(" ", n)

@@ -161,10 +161,3 @@ def render(record: ExperimentRecord) -> str:
         title=record.title,
         float_fmt="{:.3f}",
     )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual driver
-    rec = run_robustness()
-    print(render(rec))
-    for n in rec.notes:
-        print(" ", n)

@@ -1,7 +1,7 @@
 """STREAM-style triad workload, used to calibrate peak memory bandwidth.
 
 The paper quotes "17 GB/s of bandwidth between the L3 cache and memory
-according to the STREAM benchmark"; the calibration bench runs this
+according to the STREAM benchmark"; the calibration experiment runs this
 workload on every core of the simulated socket and reports the aggregate
 fill bandwidth, which is how the `dram_bandwidth_Bps` configuration is
 tied to an observable.

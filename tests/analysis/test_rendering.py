@@ -94,6 +94,12 @@ class TestRecords:
         assert payload["data"]["arr"] == [1.5, 2.5]
         assert payload["data"]["scalar"] == 3.5
 
+    def test_telemetry_key_only_when_attached(self):
+        rec = ExperimentRecord(experiment_id="t", title="t", data={"x": 1})
+        assert "telemetry" not in json.loads(rec.to_json())
+        rec.attach_telemetry({"points_done": 3})
+        assert json.loads(rec.to_json())["telemetry"] == {"points_done": 3}
+
     def test_unserialisable_raises(self):
         rec = ExperimentRecord(experiment_id="x", title="x", data={"f": object()})
         with pytest.raises(TypeError):

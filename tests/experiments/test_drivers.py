@@ -1,8 +1,9 @@
 """Experiment drivers produce well-formed, paper-shaped records.
 
 The heavier grids are shrunk via monkeypatching the grid definitions so
-the whole file stays test-suite friendly; the real smoke/paper grids run
-in the benchmark harness.
+the whole file stays test-suite friendly; ``scripts/check_records.py``
+runs the real smoke/paper grids, and ``test_paper_shapes.py`` checks the
+committed records' paper shapes.
 """
 
 import pytest

@@ -7,7 +7,8 @@ import pytest
 
 from repro import __version__
 from repro.analysis import ExperimentRecord
-from repro.cli import _build_parser, _registry, main
+from repro.cli import _build_parser, main
+from repro.experiments import EXPERIMENTS
 
 #: Every verb, in the order ``repro --help`` lists them.
 VERBS = ("list", "version", "run", "machine", "bench", "trace", "submit",
@@ -66,18 +67,17 @@ class TestRun:
         assert "unknown experiment" in capsys.readouterr().err
 
     def test_run_executes_and_saves(self, capsys, tmp_path, monkeypatch):
-        import repro.cli as cli
+        import repro.experiments as ex
 
-        def fake_registry():
-            def run(mode, seed=0):
-                return ExperimentRecord(
-                    experiment_id="fake", title="Fake", data={"x": [1]},
-                    notes=["note-1"],
-                )
+        def run(mode, seed=0):
+            return ExperimentRecord(
+                experiment_id="fake", title="Fake", data={"x": [1]},
+                notes=["note-1"],
+            )
 
-            return {"fake": ("a fake experiment", run, lambda r: "RENDERED")}
-
-        monkeypatch.setattr(cli, "_registry", fake_registry)
+        monkeypatch.setattr(ex, "EXPERIMENTS", {
+            "fake": ("a fake experiment", run, lambda r: "RENDERED"),
+        })
         assert main(["run", "fake", "--out", str(tmp_path)]) == 0
         captured = capsys.readouterr()
         assert "RENDERED" in captured.out
@@ -86,7 +86,7 @@ class TestRun:
         assert payload["experiment_id"] == "fake"
 
     def test_registry_entries_are_callable(self):
-        for name, (desc, run_fn, render_fn) in _registry().items():
+        for name, (desc, run_fn, render_fn) in EXPERIMENTS.items():
             assert callable(run_fn), name
             assert isinstance(desc, str) and desc
 
@@ -107,8 +107,11 @@ class TestTraceAndTelemetry:
         reset_tracer()
 
     @staticmethod
-    def _fake_registry(run_fn):
-        return lambda: {"fake": ("a fake experiment", run_fn, None)}
+    def _fake_experiment(monkeypatch, run_fn):
+        import repro.experiments as ex
+
+        monkeypatch.setattr(ex, "EXPERIMENTS",
+                            {"fake": ("a fake experiment", run_fn, None)})
 
     def _run_some_points(self):
         """Real runner work, so session telemetry has points to report."""
@@ -121,7 +124,6 @@ class TestTraceAndTelemetry:
     def test_trace_flag_writes_both_artifacts(
         self, capsys, tmp_path, monkeypatch
     ):
-        import repro.cli as cli
         from repro.obs import validate_chrome_trace
 
         def run(mode, seed=0):
@@ -130,7 +132,7 @@ class TestTraceAndTelemetry:
                 experiment_id="fake", title="Fake", data={},
             )
 
-        monkeypatch.setattr(cli, "_registry", self._fake_registry(run))
+        self._fake_experiment(monkeypatch, run)
         trace = tmp_path / "t.json"
         assert main(["run", "fake", "--out", str(tmp_path),
                      "--trace", str(trace)]) == 0
@@ -145,7 +147,6 @@ class TestTraceAndTelemetry:
     def test_failure_path_still_reports_telemetry_and_trace(
         self, capsys, tmp_path, monkeypatch
     ):
-        import repro.cli as cli
         from repro.errors import ReproError
         from repro.obs import validate_chrome_trace
 
@@ -153,7 +154,7 @@ class TestTraceAndTelemetry:
             self._run_some_points()
             raise ReproError("campaign exploded mid-run")
 
-        monkeypatch.setattr(cli, "_registry", self._fake_registry(run))
+        self._fake_experiment(monkeypatch, run)
         trace = tmp_path / "t.json"
         assert main(["run", "fake", "--trace", str(trace)]) == 1
         err = capsys.readouterr().err
@@ -171,13 +172,11 @@ class TestTraceAndTelemetry:
     def test_trace_command_summarises_either_format(
         self, capsys, tmp_path, monkeypatch
     ):
-        import repro.cli as cli
-
         def run(mode, seed=0):
             self._run_some_points()
             return ExperimentRecord(experiment_id="fake", title="Fake", data={})
 
-        monkeypatch.setattr(cli, "_registry", self._fake_registry(run))
+        self._fake_experiment(monkeypatch, run)
         trace = tmp_path / "t.json"
         assert main(["run", "fake", "--out", str(tmp_path),
                      "--trace", str(trace)]) == 0

@@ -1,23 +1,32 @@
 """Optional C hot loop for the array-native kernel.
 
 The array kernel (:mod:`repro.engine.arraypath`) keeps all simulation
-state in flat, C-contiguous buffers: int64 tag/age arrays per cache
-level, a uint8 dirty bitmap indexed by line address, float64 arrival
-slots for prefetch-staged lines, and small register blocks for the
-bandwidth arbiter and the per-core stride prefetchers. That layout is
-deliberately a stable ABI: this module compiles (at first use, with the
-system C compiler, via stdlib ``ctypes`` — no third-party build
-dependency) a small shared object whose ``run_chunk`` walks the same
-buffers natively.
+state in flat, C-contiguous buffers: int64 tag arrays per cache level
+with int32 recency lists beside them, an int32 L3 line index, a uint8
+dirty bitmap indexed by line address, float64 arrival slots for
+prefetch-staged lines, and small register blocks for the bandwidth
+arbiter and the per-core stride prefetchers. That layout is deliberately
+a stable ABI: this module compiles (at first use, with the system C
+compiler, via stdlib ``ctypes`` — no third-party build dependency) a
+small shared object whose ``run_chunk`` walks the same buffers natively.
 
 Semantics are a line-for-line port of the reference list kernel
-(:class:`repro.engine.fastpath.FastSocket`) with the per-set recency
-lists replaced by monotonic age counters (LRU = min-age victim; empty
-slots carry age 0 and are therefore filled first, in slot order, which
-reproduces the list kernel's append-then-evict order exactly). All
-floating-point expressions mirror the Python operand order and the
-library is built with ``-ffp-contract=off``, so chunk finish times and
-arbiter state are bit-identical to the list kernel, not merely close.
+(:class:`repro.engine.fastpath.FastSocket`). Its per-set recency lists
+become doubly linked lists over slot ids (``prev``/``next`` per slot, an
+LRU head and an MRU tail per set): a hit or a fill moves the slot to the
+MRU tail and the victim is the LRU head, both in constant time. Each
+list starts in slot order, so empty slots fill in slot order, which
+reproduces the list kernel's append-then-evict order exactly. L3 hits
+are found through ``idx3``, an open-addressing line → slot table with
+at least twice as many buckets as L3 slots; the L1 and L2 hit probes
+stay linear scans of their few ways. All floating-point expressions
+mirror the Python operand order and the library is built with
+``-ffp-contract=off``, so chunk finish times and arbiter state are
+bit-identical to the list kernel, not merely close.
+
+``lru_sampled``, the batch loop of :class:`repro.mem.tagstore.TagStore`
+(the set-sampled L3), keeps the older layout: monotonic age counters per
+slot, the victim being the set's min-age slot.
 
 If no compiler is available (or ``REPRO_NO_CKERNEL=1``), ``load()``
 returns ``None`` and simulators fall back to the list kernel
@@ -45,22 +54,26 @@ C_SOURCE = r"""
 #include <stdint.h>
 
 typedef int64_t i64;
+typedef int32_t i32;
 typedef unsigned char u8;
 
 #define EMPTY_TAG INT64_MIN
 
 /* All members are 8 bytes wide so the layout has no padding and the
- * ctypes mirror cannot drift. */
+ * ctypes mirror cannot drift. Each cache level keeps, beside its tags, a
+ * doubly linked recency list per set: prev/next per slot (-1 ends a
+ * list) and the LRU head and MRU tail per set. Slot ids are offsets into
+ * the level's tag block; L1 and L2 keep one block per core. */
 typedef struct {
     /* cache state */
-    i64 *tags1; i64 *ages1;      /* per-core blocks of blk1 entries */
-    i64 *tags2; i64 *ages2;      /* per-core blocks of blk2 entries */
-    i64 *tags3; i64 *ages3;      /* shared, n3sets*w3 entries */
+    i64 *tags1; i32 *prev1; i32 *next1; i32 *head1; i32 *tail1;
+    i64 *tags2; i32 *prev2; i32 *next2; i32 *head2; i32 *tail2;
+    i64 *tags3; i32 *prev3; i32 *next3; i32 *head3; i32 *tail3;
+    i32 *idx3;                   /* L3 line -> slot, linear probing; -1 empty */
     i64 *owner3;                 /* NULL when owner tracking is off */
     double *arrival3;            /* per L3 slot; < 0 means none pending */
     u8  *dirty;                  /* by line address */
-    /* scalar registers: [0]=agec3 [1]=n_pending [2+2c]=agec1 [3+2c]=agec2 */
-    i64 *iregs;
+    i64 *iregs;                  /* [0] = pending staged lines */
     /* arbiter: [0]=hwm [1]=window_start [2]=rho [3]=rho_smooth
      *          [4]=delay [5]=knee [6]=busy_ns */
     double *aregs;
@@ -74,8 +87,9 @@ typedef struct {
     i64 *pf_issued;              /* per core */
     /* geometry */
     i64 l1_mask; i64 l2_mask; i64 l3_mask;
-    i64 w1; i64 w2; i64 w3;
+    i64 w1; i64 w2;
     i64 blk1; i64 blk2;
+    i64 idx_mask; i64 idx_shift; /* idx3 has idx_mask + 1 = 2^(64-shift) entries */
     i64 dirty_cap;
     /* timing */
     double l1_ns; double l2_ns; double l3_ns; double pf_ns;
@@ -87,6 +101,63 @@ typedef struct {
     /* prefetcher parameters */
     i64 pf_enabled; i64 pf_degree; i64 pf_detect_after; i64 pf_nstreams;
 } KS;
+
+/* One level's recency lists (one core's block for L1 and L2). */
+typedef struct { i32 *prev; i32 *next; i32 *head; i32 *tail; } LRU;
+
+/* Move slot s to the MRU tail of set `set`'s list. */
+static inline void lru_touch(LRU r, i64 set, i32 s)
+{
+    i32 t = r.tail[set];
+    if (t == s) return;
+    i32 p = r.prev[s], nx = r.next[s];   /* nx >= 0: s is not the tail */
+    if (p >= 0) r.next[p] = nx; else r.head[set] = nx;
+    r.prev[nx] = p;
+    r.prev[s] = t;
+    r.next[s] = -1;
+    r.next[t] = s;
+    r.tail[set] = s;
+}
+
+/* Replace set `set`'s LRU line with `line`, which becomes MRU. */
+static inline void lru_fill(i64 *tags, LRU r, i64 set, i64 line)
+{
+    i32 vs = r.head[set];
+    tags[vs] = line;
+    lru_touch(r, set, vs);
+}
+
+/* Home bucket of a line in idx3: multiplicative hash of the whole line
+ * address (all lines of one set share their low bits). */
+static inline uint64_t idx_home(const KS *k, i64 line)
+{
+    return ((uint64_t)line * 0x9E3779B97F4A7C15ULL) >> k->idx_shift;
+}
+
+/* L3 slot holding `line`, or -1. */
+static inline i32 l3_find(const KS *k, i64 line)
+{
+    uint64_t m = (uint64_t)k->idx_mask;
+    for (uint64_t i = idx_home(k, line);; i = (i + 1) & m) {
+        i32 s = k->idx3[i];
+        if (s < 0 || k->tags3[s] == line) return s;
+    }
+}
+
+/* Unindex the line in L3 slot `slot` by backward-shift deletion, so the
+ * table never holds tombstones. */
+static void l3_erase(KS *k, i32 slot)
+{
+    uint64_t m = (uint64_t)k->idx_mask;
+    i32 *idx = k->idx3;
+    uint64_t i = idx_home(k, k->tags3[slot]);
+    while (idx[i] != slot) i = (i + 1) & m;
+    for (uint64_t j = (i + 1) & m; idx[j] >= 0; j = (j + 1) & m) {
+        uint64_t h = idx_home(k, k->tags3[idx[j]]);
+        if (((j - h) & m) >= ((j - i) & m)) { idx[i] = idx[j]; i = j; }
+    }
+    idx[i] = -1;
+}
 
 static double arb_fill(KS *k, double now, int demand)
 {
@@ -187,40 +258,64 @@ static i64 pf_observe(KS *k, i64 core, i64 a, i64 sid, i64 *stride_out)
     return 0;
 }
 
+/* Evict set `set`'s LRU line from L3 (dropping its pending arrival and
+ * writing it back if dirty) and put `line` in its slot as MRU. The victim
+ * leaves idx3 before its tag is overwritten; `line` then enters it. */
+static i32 l3_fill(KS *k, LRU r3, i64 set, i64 line, double t, i64 *nwb)
+{
+    i32 vs = r3.head[set];
+    i64 victim = k->tags3[vs];
+    if (victim != EMPTY_TAG) {
+        if (k->arrival3[vs] >= 0.0) { k->arrival3[vs] = -1.0; k->iregs[0] -= 1; }
+        if (victim >= 0 && victim < k->dirty_cap && k->dirty[victim]) {
+            k->dirty[victim] = 0;
+            arb_wb(k, t);
+            *nwb += 1;
+        }
+        l3_erase(k, vs);
+    }
+    k->tags3[vs] = line;
+    uint64_t m = (uint64_t)k->idx_mask;
+    uint64_t i = idx_home(k, line);
+    while (k->idx3[i] >= 0) i = (i + 1) & m;
+    k->idx3[i] = vs;
+    lru_touch(r3, set, vs);
+    return vs;
+}
+
 double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
                  i64 is_write, i64 pf_on, i64 sid,
                  double ops_ns, double dram_ns, double t, i64 *out)
 {
-    i64 *tags1 = k->tags1 + core * k->blk1;
-    i64 *ages1 = k->ages1 + core * k->blk1;
-    i64 *tags2 = k->tags2 + core * k->blk2;
-    i64 *ages2 = k->ages2 + core * k->blk2;
-    i64 *tags3 = k->tags3, *ages3 = k->ages3, *owner3 = k->owner3;
+    i64 m1 = k->l1_mask, m2 = k->l2_mask, m3 = k->l3_mask;
+    i64 w1 = k->w1, w2 = k->w2;
+    i64 o1 = core * k->blk1, o2 = core * k->blk2;
+    i64 *tags1 = k->tags1 + o1, *tags2 = k->tags2 + o2;
+    LRU r1 = { k->prev1 + o1, k->next1 + o1,
+               k->head1 + core * (m1 + 1), k->tail1 + core * (m1 + 1) };
+    LRU r2 = { k->prev2 + o2, k->next2 + o2,
+               k->head2 + core * (m2 + 1), k->tail2 + core * (m2 + 1) };
+    LRU r3 = { k->prev3, k->next3, k->head3, k->tail3 };
+    i64 *owner3 = k->owner3;
     double *arr3 = k->arrival3;
     u8 *dirty = k->dirty;
-    i64 cap = k->dirty_cap;
-    i64 m1 = k->l1_mask, m2 = k->l2_mask, m3 = k->l3_mask;
-    i64 w1 = k->w1, w2 = k->w2, w3 = k->w3;
     double l1_ns = k->l1_ns, l2_ns = k->l2_ns, l3_ns = k->l3_ns;
     double pf_ns = k->pf_ns, service_ns = k->service_ns;
-    i64 *agec1 = &k->iregs[2 + 2 * core];
-    i64 *agec2 = &k->iregs[3 + 2 * core];
-    i64 *agec3 = &k->iregs[0];
-    i64 *npend = &k->iregs[1];
+    i64 *npend = &k->iregs[0];
     i64 n1 = 0, n2 = 0, n3 = 0, npf = 0, nmiss = 0, npfill = 0, nwb = 0;
     int w = (int)is_write;
 
     for (i64 i = 0; i < n; i++) {
         i64 a = lines[i];
         t += ops_ns;
-        i64 b1 = (a & m1) * w1;
-        i64 h1 = -1;
+        i64 s1 = a & m1, b1 = s1 * w1;
+        i32 h1 = -1;
         for (i64 j = 0; j < w1; j++)
-            if (tags1[b1 + j] == a) { h1 = j; break; }
+            if (tags1[b1 + j] == a) { h1 = (i32)(b1 + j); break; }
         if (h1 >= 0) {
             t += l1_ns;
             n1 += 1;
-            ages1[b1 + h1] = ++(*agec1);
+            lru_touch(r1, s1, h1);
             if (w) dirty[a] = 1;
             /* hit-streak fast path: a run of accesses to the same line
              * stays an L1 MRU hit with no state change; charge the run
@@ -233,10 +328,10 @@ double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
             }
             continue;
         }
-        i64 b2 = (a & m2) * w2;
-        i64 h2 = -1;
+        i64 s2 = a & m2, b2 = s2 * w2;
+        i32 h2 = -1;
         for (i64 j = 0; j < w2; j++)
-            if (tags2[b2 + j] == a) { h2 = j; break; }
+            if (tags2[b2 + j] == a) { h2 = (i32)(b2 + j); break; }
         if (h2 >= 0) {
             t += l2_ns;
             n2 += 1;
@@ -244,31 +339,24 @@ double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
                 /* A pending staged line is always still L3-resident
                  * (eviction pops its arrival), so probing L3 here is
                  * exactly the dict pop of the list kernel. */
-                i64 b3 = (a & m3) * w3;
-                for (i64 j = 0; j < w3; j++) {
-                    if (tags3[b3 + j] == a) {
-                        double arr = arr3[b3 + j];
-                        if (arr >= 0.0) {
-                            arr3[b3 + j] = -1.0;
-                            *npend -= 1;
-                            npf += 1;
-                            n2 -= 1;
-                            if (arr > t) t = arr;
-                        }
-                        break;
-                    }
+                i32 h3 = l3_find(k, a);
+                if (h3 >= 0 && arr3[h3] >= 0.0) {
+                    double arr = arr3[h3];
+                    arr3[h3] = -1.0;
+                    *npend -= 1;
+                    npf += 1;
+                    n2 -= 1;
+                    if (arr > t) t = arr;
                 }
             }
-            ages2[b2 + h2] = ++(*agec2);
+            lru_touch(r2, s2, h2);
         } else {
-            i64 b3 = (a & m3) * w3;
-            i64 h3 = -1;
-            for (i64 j = 0; j < w3; j++)
-                if (tags3[b3 + j] == a) { h3 = j; break; }
+            i64 s3 = a & m3;
+            i32 h3 = l3_find(k, a);
             if (h3 >= 0) {
-                double arr = (*npend > 0) ? arr3[b3 + h3] : -1.0;
+                double arr = (*npend > 0) ? arr3[h3] : -1.0;
                 if (arr >= 0.0) {
-                    arr3[b3 + h3] = -1.0;
+                    arr3[h3] = -1.0;
                     *npend -= 1;
                     t += pf_ns;
                     if (arr > t) t = arr;
@@ -277,27 +365,13 @@ double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
                     t += l3_ns;
                     n3 += 1;
                 }
-                ages3[b3 + h3] = ++(*agec3);
-                if (owner3) owner3[b3 + h3] = core;
+                lru_touch(r3, s3, h3);
+                if (owner3) owner3[h3] = core;
             } else {
                 /* demand miss: stall for DRAM + link queueing */
                 nmiss += 1;
                 t += dram_ns + arb_fill(k, t, 1);
-                i64 vs = b3;
-                i64 va = ages3[b3];
-                for (i64 j = 1; j < w3; j++)
-                    if (ages3[b3 + j] < va) { va = ages3[b3 + j]; vs = b3 + j; }
-                i64 victim = tags3[vs];
-                if (victim != EMPTY_TAG) {
-                    if (arr3[vs] >= 0.0) { arr3[vs] = -1.0; *npend -= 1; }
-                    if (victim >= 0 && victim < cap && dirty[victim]) {
-                        dirty[victim] = 0;
-                        arb_wb(k, t);
-                        nwb += 1;
-                    }
-                }
-                tags3[vs] = a;
-                ages3[vs] = ++(*agec3);
+                i32 vs = l3_fill(k, r3, s3, a, t, &nwb);
                 arr3[vs] = -1.0;
                 if (owner3) owner3[vs] = core;
                 if (!w) dirty[a] = 0;
@@ -308,66 +382,27 @@ double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
                 i64 kf = 0;
                 for (i64 q = 1; q <= cnt; q++) {
                     i64 p = a + stride * q;
-                    i64 bp = (p & m3) * w3;
-                    i64 hp = -1;
-                    for (i64 j = 0; j < w3; j++)
-                        if (tags3[bp + j] == p) { hp = j; break; }
-                    if (hp < 0) {
+                    if (l3_find(k, p) < 0) {
                         double delay = arb_fill(k, t, 0);
                         kf += 1;
                         npfill += 1;
-                        i64 vs = bp;
-                        i64 va = ages3[bp];
-                        for (i64 j = 1; j < w3; j++)
-                            if (ages3[bp + j] < va) { va = ages3[bp + j]; vs = bp + j; }
-                        i64 v = tags3[vs];
-                        if (v != EMPTY_TAG) {
-                            if (arr3[vs] >= 0.0) { arr3[vs] = -1.0; *npend -= 1; }
-                            if (v >= 0 && v < cap && dirty[v]) {
-                                dirty[v] = 0;
-                                arb_wb(k, t);
-                                nwb += 1;
-                            }
-                        }
-                        tags3[vs] = p;
-                        ages3[vs] = ++(*agec3);
+                        i32 vs = l3_fill(k, r3, p & m3, p, t, &nwb);
                         arr3[vs] = t + dram_ns + delay + (double)kf * service_ns;
                         *npend += 1;
                         if (owner3) owner3[vs] = core;
                     }
-                    i64 bp2 = (p & m2) * w2;
+                    i64 sp2 = p & m2, bp2 = sp2 * w2;
                     i64 hq = -1;
                     for (i64 j = 0; j < w2; j++)
                         if (tags2[bp2 + j] == p) { hq = j; break; }
-                    if (hq < 0) {
-                        i64 vs = bp2;
-                        i64 va = ages2[bp2];
-                        for (i64 j = 1; j < w2; j++)
-                            if (ages2[bp2 + j] < va) { va = ages2[bp2 + j]; vs = bp2 + j; }
-                        tags2[vs] = p;
-                        ages2[vs] = ++(*agec2);
-                    }
+                    if (hq < 0) lru_fill(tags2, r2, sp2, p);
                 }
             }
             /* fill L2 (silent private eviction) */
-            {
-                i64 vs = b2;
-                i64 va = ages2[b2];
-                for (i64 j = 1; j < w2; j++)
-                    if (ages2[b2 + j] < va) { va = ages2[b2 + j]; vs = b2 + j; }
-                tags2[vs] = a;
-                ages2[vs] = ++(*agec2);
-            }
+            lru_fill(tags2, r2, s2, a);
         }
         /* fill L1 */
-        {
-            i64 vs = b1;
-            i64 va = ages1[b1];
-            for (i64 j = 1; j < w1; j++)
-                if (ages1[b1 + j] < va) { va = ages1[b1 + j]; vs = b1 + j; }
-            tags1[vs] = a;
-            ages1[vs] = ++(*agec1);
-        }
+        lru_fill(tags1, r1, s1, a);
         if (w) dirty[a] = 1;
         /* hit-streak after a fill: the line is now L1-MRU */
         while (i + 1 < n && lines[i + 1] == a) {
@@ -524,9 +559,16 @@ class KStruct(ctypes.Structure):
     """ctypes mirror of the C ``KS`` struct (all members 8 bytes)."""
 
     _fields_ = [
-        ("tags1", ctypes.c_void_p), ("ages1", ctypes.c_void_p),
-        ("tags2", ctypes.c_void_p), ("ages2", ctypes.c_void_p),
-        ("tags3", ctypes.c_void_p), ("ages3", ctypes.c_void_p),
+        ("tags1", ctypes.c_void_p), ("prev1", ctypes.c_void_p),
+        ("next1", ctypes.c_void_p), ("head1", ctypes.c_void_p),
+        ("tail1", ctypes.c_void_p),
+        ("tags2", ctypes.c_void_p), ("prev2", ctypes.c_void_p),
+        ("next2", ctypes.c_void_p), ("head2", ctypes.c_void_p),
+        ("tail2", ctypes.c_void_p),
+        ("tags3", ctypes.c_void_p), ("prev3", ctypes.c_void_p),
+        ("next3", ctypes.c_void_p), ("head3", ctypes.c_void_p),
+        ("tail3", ctypes.c_void_p),
+        ("idx3", ctypes.c_void_p),
         ("owner3", ctypes.c_void_p),
         ("arrival3", ctypes.c_void_p),
         ("dirty", ctypes.c_void_p),
@@ -538,8 +580,9 @@ class KStruct(ctypes.Structure):
         ("pf_expected", ctypes.c_void_p), ("pf_order", ctypes.c_void_p),
         ("pf_count", ctypes.c_void_p), ("pf_issued", ctypes.c_void_p),
         ("l1_mask", i64), ("l2_mask", i64), ("l3_mask", i64),
-        ("w1", i64), ("w2", i64), ("w3", i64),
+        ("w1", i64), ("w2", i64),
         ("blk1", i64), ("blk2", i64),
+        ("idx_mask", i64), ("idx_shift", i64),
         ("dirty_cap", i64),
         ("l1_ns", ctypes.c_double), ("l2_ns", ctypes.c_double),
         ("l3_ns", ctypes.c_double), ("pf_ns", ctypes.c_double),
@@ -592,6 +635,12 @@ F_DONE, F_MAIN, F_EXHAUSTED = 1, 2, 4
 STEP_DONE, STEP_REFILL, STEP_LIMIT, STEP_MAXSTEPS = 0, 1, 2, 3
 
 
+#: Compiler flags of the kernel build. -ffp-contract=off: no FMA
+#: contraction, so every double expression evaluates exactly like the
+#: CPython reference.
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
 def _cache_dir() -> str:
     root = os.environ.get("REPRO_CKERNEL_CACHE")
     if not root:
@@ -621,9 +670,7 @@ def _build(cc: str, cache: str, tag: str) -> Optional[str]:
         with os.fdopen(fd, "w") as f:
             f.write(C_SOURCE)
         tmp = lib + f".tmp{os.getpid()}"
-        # -ffp-contract=off: no FMA contraction, so every double
-        # expression evaluates exactly like the CPython reference.
-        cmd = [cc, "-O2", "-fPIC", "-shared", "-ffp-contract=off", src, "-o", tmp]
+        cmd = [cc, *CFLAGS, src, "-o", tmp]
         res = subprocess.run(
             cmd, capture_output=True, text=True, timeout=120, check=False
         )

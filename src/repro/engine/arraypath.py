@@ -6,11 +6,16 @@ that keeps every piece of mutable simulation state in flat, preallocated,
 C-contiguous buffers:
 
 - per-level **tag arrays** (``int64``, one slot per cache way, sets laid
-  out consecutively) plus **monotonic age counters**: LRU victim = the
-  min-age slot of the set, scanned left to right. Empty slots carry age 0
-  and are therefore filled first, in slot order, which reproduces the
-  list kernel's append-then-evict recency order exactly (cross-validated
+  out consecutively) plus **recency lists**: ``int32`` ``prev``/``next``
+  links per slot and an LRU head and MRU tail per set. A hit or a fill
+  moves the slot to the MRU tail; the victim is the LRU head. Each list
+  starts (and restarts, in :meth:`ArraySocket.flush_caches`) in slot
+  order, so empty slots fill in slot order, which reproduces the list
+  kernel's append-then-evict recency order exactly (cross-validated
   bit-for-bit by ``tests/engine/test_kernel_equivalence.py``);
+- an **L3 line index** (``int32``): a linear-probing table from line
+  address to L3 slot, sized by the L3's slot count (a power of two with
+  at least twice the slots), not by the range of line addresses;
 - a **dirty bitmap** (``uint8``) indexed by line address, grown on demand;
 - **arrival slots** (``float64``, one per L3 way) replacing the staged-
   line dict: a line with a pending link transfer is always still
@@ -23,13 +28,17 @@ C-contiguous buffers:
 
 The hot loop over this state is a small C function compiled on first
 use from :mod:`repro.engine._ckernel` (stdlib ``ctypes``, no build
-dependency), ~20x the list kernel's throughput. It mirrors the list
-kernel's floating-point operation order exactly (the C build disables
-FP contraction), so per-chunk finish times and all event counters are
-bit-identical across kernels, not merely within tolerance. Runs of
-repeated accesses to one line take a *hit-streak fast path*: after the
-first L1 MRU hit the loop charges the remaining repeats' time directly,
-skipping tag probes and LRU updates they cannot change.
+dependency). It mirrors the list kernel's floating-point operation order
+exactly (the C build disables FP contraction), so per-chunk finish times
+and all event counters are bit-identical across kernels, not merely
+within tolerance. Runs of repeated accesses to one line take a
+*hit-streak fast path*: after the first L1 MRU hit the loop charges the
+remaining repeats' time directly, skipping tag probes and LRU updates
+they cannot change.
+
+No object of a kernel sits in a reference cycle, so a point's kernel is
+freed by reference counting the moment its simulator is dropped, not
+whenever the cyclic garbage collector next runs.
 
 Simulators get their kernel from :func:`make_socket_kernel`: this array
 kernel when the C kernel loads, and the list kernel otherwise (no C
@@ -44,7 +53,7 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from ..config import SocketConfig
+from ..config import PrefetchConfig, SocketConfig
 from ..errors import ConfigError
 from ..mem.counters import CoreCounters, SocketCounters
 from . import _ckernel
@@ -150,20 +159,52 @@ class _ArbiterView:
 
 class _PrefetcherView:
     """Per-core view of the shared stream-table arrays (introspection
-    parity with :class:`~repro.mem.prefetch.StridePrefetcher`)."""
+    parity with :class:`~repro.mem.prefetch.StridePrefetcher`). It holds
+    the arrays, not the socket, so a socket is never in a reference cycle
+    and is freed as soon as its simulator is dropped."""
 
-    def __init__(self, owner: "ArraySocket", core: int):
-        self._owner = owner
+    def __init__(self, config: PrefetchConfig, pf_count: np.ndarray,
+                 pf_issued: np.ndarray, core: int):
+        self.config = config
+        self._count = pf_count
+        self._issued = pf_issued
         self._core = core
-        self.config = owner.socket.prefetch
 
     @property
     def issued_batches(self) -> int:
-        return int(self._owner._pf_issued[self._core])
+        return int(self._issued[self._core])
 
     def reset(self) -> None:
-        self._owner._pf_count[self._core] = 0
-        self._owner._pf_issued[self._core] = 0
+        self._count[self._core] = 0
+        self._issued[self._core] = 0
+
+
+def _recency_lists(n_blocks: int, n_sets: int, ways: int):
+    """``(prev, next, head, tail)`` int32 arrays for ``n_blocks`` blocks
+    of ``n_sets`` sets: prev/next per slot, LRU head and MRU tail per set,
+    every list in slot order (see :func:`_reset_recency`)."""
+    slots, sets = n_blocks * n_sets * ways, n_blocks * n_sets
+    lru = (np.empty(slots, dtype=np.int32), np.empty(slots, dtype=np.int32),
+           np.empty(sets, dtype=np.int32), np.empty(sets, dtype=np.int32))
+    _reset_recency(lru, n_sets, ways)
+    return lru
+
+
+def _reset_recency(lru, n_sets: int, ways: int) -> None:
+    """Put every set's recency list back in slot order, way 0 at the LRU
+    head. Filled slots always move to the MRU tail, so empty slots stay
+    ahead of them and fill in slot order, as the list kernel appends."""
+    prev, nxt, head, tail = lru
+    # Views with one row of sets per block (per core at L1 and L2).
+    prev, nxt = prev.reshape(-1, n_sets, ways), nxt.reshape(-1, n_sets, ways)
+    head, tail = head.reshape(-1, n_sets), tail.reshape(-1, n_sets)
+    slot = np.arange(n_sets * ways, dtype=np.int32).reshape(n_sets, ways)
+    prev[...] = slot - 1
+    prev[:, :, 0] = -1
+    nxt[...] = slot + 1
+    nxt[:, :, -1] = -1
+    head[...] = slot[:, 0]
+    tail[...] = slot[:, -1]
 
 
 class ArraySocket:
@@ -197,11 +238,16 @@ class ArraySocket:
         self._blk1, self._blk2 = s1 * w1, s2 * w2
 
         self._tags1 = np.full(n * s1 * w1, EMPTY_TAG, dtype=np.int64)
-        self._ages1 = np.zeros(n * s1 * w1, dtype=np.int64)
+        self._lru1 = _recency_lists(n, s1, w1)
         self._tags2 = np.full(n * s2 * w2, EMPTY_TAG, dtype=np.int64)
-        self._ages2 = np.zeros(n * s2 * w2, dtype=np.int64)
+        self._lru2 = _recency_lists(n, s2, w2)
         self._tags3 = np.full(s3 * w3, EMPTY_TAG, dtype=np.int64)
-        self._ages3 = np.zeros(s3 * w3, dtype=np.int64)
+        self._lru3 = _recency_lists(1, s3, w3)
+        # L3 line -> slot index: a power of two with at least twice the
+        # L3 slots, so linear probes stay short (-1 = empty bucket).
+        idx_bits = (2 * s3 * w3 - 1).bit_length()
+        self._idx3 = np.full(1 << idx_bits, -1, dtype=np.int32)
+        self._idx_shift = 64 - idx_bits
         self._owner3: Optional[np.ndarray] = (
             np.full(s3 * w3, -1, dtype=np.int64) if track_owner else None
         )
@@ -209,9 +255,8 @@ class ArraySocket:
         self._dirty = np.zeros(_DIRTY_CAP0, dtype=np.uint8)
         self._dirty_cap = _DIRTY_CAP0
 
-        # [0]=L3 age counter, [1]=pending staged-line count,
-        # [2+2c]/[3+2c]=core c's L1/L2 age counters.
-        self._iregs = np.zeros(2 + 2 * n, dtype=np.int64)
+        # [0]=pending staged-line count.
+        self._iregs = np.zeros(1, dtype=np.int64)
         self._aregs = np.zeros(7, dtype=np.float64)
         self._airegs = np.zeros(4, dtype=np.int64)
 
@@ -226,7 +271,10 @@ class ArraySocket:
         self._pf_issued = np.zeros(n, dtype=np.int64)
 
         self.arbiter = _ArbiterView(socket, self._aregs, self._airegs)
-        self.prefetchers = [_PrefetcherView(self, c) for c in range(n)]
+        self.prefetchers = [
+            _PrefetcherView(socket.prefetch, self._pf_count, self._pf_issued, c)
+            for c in range(n)
+        ]
         self.counters = [CoreCounters() for _ in range(n)]
 
         t = socket.timing
@@ -249,11 +297,12 @@ class ArraySocket:
         s = self.socket
         ks = _ckernel.KStruct()
         ks.tags1 = self._tags1.ctypes.data
-        ks.ages1 = self._ages1.ctypes.data
+        ks.prev1, ks.next1, ks.head1, ks.tail1 = (a.ctypes.data for a in self._lru1)
         ks.tags2 = self._tags2.ctypes.data
-        ks.ages2 = self._ages2.ctypes.data
+        ks.prev2, ks.next2, ks.head2, ks.tail2 = (a.ctypes.data for a in self._lru2)
         ks.tags3 = self._tags3.ctypes.data
-        ks.ages3 = self._ages3.ctypes.data
+        ks.prev3, ks.next3, ks.head3, ks.tail3 = (a.ctypes.data for a in self._lru3)
+        ks.idx3 = self._idx3.ctypes.data
         ks.owner3 = self._owner3.ctypes.data if self._owner3 is not None else None
         ks.arrival3 = self._arrival3.ctypes.data
         ks.dirty = self._dirty.ctypes.data
@@ -269,8 +318,9 @@ class ArraySocket:
         ks.pf_count = self._pf_count.ctypes.data
         ks.pf_issued = self._pf_issued.ctypes.data
         ks.l1_mask, ks.l2_mask, ks.l3_mask = self._l1_mask, self._l2_mask, self._l3_mask
-        ks.w1, ks.w2, ks.w3 = self._w1, self._w2, self._w3
+        ks.w1, ks.w2 = self._w1, self._w2
         ks.blk1, ks.blk2 = self._blk1, self._blk2
+        ks.idx_mask, ks.idx_shift = self._idx3.size - 1, self._idx_shift
         ks.dirty_cap = self._dirty_cap
         ks.l1_ns, ks.l2_ns, ks.l3_ns = self._l1_ns, self._l2_ns, self._l3_ns
         ks.pf_ns = self._pf_ns
@@ -401,12 +451,14 @@ class ArraySocket:
 
     def flush_caches(self) -> None:
         """Empty every cache level and prefetcher (cold restart)."""
+        s = self.socket
         self._tags1.fill(EMPTY_TAG)
-        self._ages1.fill(0)
+        _reset_recency(self._lru1, s.l1.n_sets, self._w1)
         self._tags2.fill(EMPTY_TAG)
-        self._ages2.fill(0)
+        _reset_recency(self._lru2, s.l2.n_sets, self._w2)
         self._tags3.fill(EMPTY_TAG)
-        self._ages3.fill(0)
+        _reset_recency(self._lru3, s.l3.n_sets, self._w3)
+        self._idx3.fill(-1)
         if self._owner3 is not None:
             self._owner3.fill(-1)
         self._arrival3.fill(-1.0)
@@ -434,11 +486,12 @@ class _SchedBinding:
     macro-state. Built once per macro-state (the arrays it points at
     never move) and reused for every window; only the queue line arena —
     reallocated by ``grow_lines`` — and the Python-side scalar mirrors
-    need refreshing around each crossing."""
+    need refreshing around each crossing. The macro-state owns the
+    binding, and :meth:`step` takes the state as an argument rather than
+    holding it, so the two form no reference cycle."""
 
     def __init__(self, fast: "ArraySocket", st):
         self.fast = fast
-        self.st = st
         q = st.q
         self._q = q
         sch = _ckernel.SCHStruct()
@@ -469,8 +522,8 @@ class _SchedBinding:
         self._schp = ctypes.byref(sch)
         self._bound_generation = -1  # force a qlines refresh on first call
 
-    def step(self, max_steps: int) -> int:
-        sch, q, st = self.sch, self._q, self.st
+    def step(self, st, max_steps: int) -> int:
+        sch, q = self.sch, self._q
         # Mirror the Python-side scheduling scalars into the struct (and
         # rebind the line arena if a refill reallocated it) ...
         if self._bound_generation != q.generation:
@@ -496,7 +549,7 @@ def bind_sched_step(fast: SocketKernel, st) -> Optional[object]:
     """Bind the compiled ``sched_step`` to ``fast`` and a scheduler
     macro-state ``st`` (see :class:`repro.engine.scheduler._MacroState`).
 
-    Returns the cached ``step(max_steps) -> status`` callable, or
+    Returns the cached ``step(st, max_steps) -> status`` callable, or
     ``None`` when ``fast`` is not an :class:`ArraySocket` (the list
     kernel and the node kernel), in which case the scheduler runs its
     pure-Python macro-step.

@@ -239,7 +239,7 @@ class Scheduler:
             ):
                 while st.active_mains > 0:
                     if step is not None:
-                        status = step(_MAX_STEPS)
+                        status = step(st, _MAX_STEPS)
                     else:
                         status = self._py_macro_step(st, _MAX_STEPS)
                     if status == _ck.STEP_DONE:

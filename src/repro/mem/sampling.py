@@ -41,8 +41,7 @@ class SampledL3:
     :class:`~repro.engine.fastpath.FastSocket`).
 
     The sampled sets live in a :class:`~repro.mem.tagstore.TagStore` —
-    the same flat tag/age-array LRU core the array kernel uses — indexed
-    by the *compacted* set index (full set index ``>> sample_shift``,
+    a flat tag/age-array LRU level — indexed by the *compacted* set index (full set index ``>> sample_shift``,
     dense because only all-low-bits-zero sets are sampled).
     """
 

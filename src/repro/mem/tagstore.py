@@ -1,4 +1,4 @@
-"""Flat tag-array LRU store — the shared core of the array kernels.
+"""Flat tag-array LRU store for single-level users.
 
 One set-associative cache level is a pair of flat, C-contiguous int64
 arrays of ``n_sets * ways`` slots: ``tags`` (line address per way,
@@ -11,13 +11,13 @@ at last touch; 0 when empty). LRU then needs no per-set list surgery:
   empty slots — age 0 — fill first in slot order, reproducing exactly
   the recency order of an append/evict list implementation).
 
-The full-hierarchy engine (:class:`repro.engine.arraypath.ArraySocket`)
-uses this layout with its loop compiled to C; :class:`TagStore` packages
-the same layout and semantics for single-level users — the set-sampled
-tier-2 estimator (:class:`repro.mem.sampling.SampledL3`) runs its batches
-through the compiled ``lru_sampled`` hot loop when a compiler is
-available, and through the pure-Python loop below otherwise. Both paths
-are exactly equivalent to per-set recency lists, not approximately.
+The set-sampled tier-2 estimator (:class:`repro.mem.sampling.SampledL3`)
+runs its batches through the compiled ``lru_sampled`` loop when a
+compiler is available, and through the pure-Python loop below otherwise.
+Both paths are exactly equivalent to per-set recency lists, not
+approximately. (The full-hierarchy engine,
+:class:`repro.engine.arraypath.ArraySocket`, keeps linked recency lists
+beside its tags instead, which find the victim without a scan.)
 """
 
 from __future__ import annotations

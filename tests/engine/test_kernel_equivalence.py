@@ -2,15 +2,16 @@
 
 The array-native engine (``repro.engine.arraypath.ArraySocket``, a
 compiled C hot loop) must be *bit-identical* to the reference list
-kernel (``FastSocket``) on every event counter, and its per-chunk finish
-times must agree within 1e-9 relative tolerance (DESIGN.md; in practice
-the C loop mirrors CPython's operand order and is compiled with
-``-ffp-contract=off``, so the times come out exactly equal on every
-platform tested). The list kernel in turn is validated against the
-object hierarchy in ``test_fastpath_equivalence.py``; the short
-hierarchy leg here closes the triangle directly for the array kernel.
-Without a C toolchain the array kernel does not exist and its tests
-skip.
+kernel (``FastSocket``): every event counter, every per-chunk finish time
+and every float counter (DESIGN.md; the C loop mirrors CPython's operand
+order and is compiled with ``-ffp-contract=off``). The hand-picked shapes
+below pin known regimes; the randomized differential test draws small
+sockets and access programs so that eviction order, prefetch staging and
+writebacks are checked far off those shapes. The list kernel in turn is
+validated against the object hierarchy in
+``test_fastpath_equivalence.py``; the short hierarchy leg here closes the
+triangle directly for the array kernel. Without a C toolchain the array
+kernel does not exist and its tests skip.
 """
 
 from __future__ import annotations
@@ -19,23 +20,30 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.config import PrefetchConfig, tiny_socket, xeon20mb
+from repro.config import (
+    CacheGeometry, PrefetchConfig, SocketConfig, tiny_socket, xeon20mb,
+)
 from repro.engine import AccessChunk, ArraySocket, FastSocket, make_socket_kernel
 from repro.engine import _ckernel, arraypath
 from repro.errors import ConfigError
 from repro.mem import DRAM, L1, L2, L3, SocketHierarchy
+from repro.units import GBps
 from repro.workloads import table_ii_distributions
 
 INT_COUNTERS = (
     "accesses", "l1_hits", "l2_hits", "l3_hits", "prefetch_hits",
     "l3_misses", "prefetch_fills", "writebacks", "compute_ops",
 )
-NS_COUNTERS = ("stall_ns", "compute_ns", "elapsed_ns")
-
-REL_TOL = 1e-9
+FLOAT_COUNTERS = ("compute_ns", "offsocket_ns", "stall_ns", "elapsed_ns")
 
 needs_c = pytest.mark.skipif(not _ckernel.available(), reason="no C toolchain")
+
+
+def bits(x):
+    """A float's exact hex spelling, so a last-bit difference fails."""
+    return float(x).hex()
 
 
 def drive(kernel, chunks, cores=None):
@@ -49,23 +57,24 @@ def drive(kernel, chunks, cores=None):
     return times
 
 
-def assert_equivalent(ref, other, ref_times, other_times, n_cores=1,
-                      owners=False):
-    """Counters bit-identical, times within REL_TOL, shared state equal."""
-    assert other_times == pytest.approx(ref_times, rel=REL_TOL, abs=0.0)
+def assert_same_counters(ref, other, n_cores):
+    """Every core counter and the arbiter's bytes and busy time, exactly."""
     for core in range(n_cores):
         a, b = ref.counters[core], other.counters[core]
         for f in INT_COUNTERS:
             assert getattr(a, f) == getattr(b, f), f"core {core} {f}"
-        for f in NS_COUNTERS:
-            assert getattr(b, f) == pytest.approx(
-                getattr(a, f), rel=REL_TOL, abs=0.0
-            ), f"core {core} {f}"
+        for f in FLOAT_COUNTERS:
+            assert bits(getattr(a, f)) == bits(getattr(b, f)), f"core {core} {f}"
     assert ref.arbiter.fill_bytes == other.arbiter.fill_bytes
     assert ref.arbiter.writeback_bytes == other.arbiter.writeback_bytes
-    assert other.arbiter.busy_ns == pytest.approx(
-        ref.arbiter.busy_ns, rel=REL_TOL, abs=0.0
-    )
+    assert bits(ref.arbiter.busy_ns) == bits(other.arbiter.busy_ns)
+
+
+def assert_equivalent(ref, other, ref_times, other_times, n_cores=1,
+                      owners=False):
+    """Finish times, counters and shared state all exactly equal."""
+    assert list(map(bits, other_times)) == list(map(bits, ref_times))
+    assert_same_counters(ref, other, n_cores)
     assert ref.l3_resident_count() == other.l3_resident_count()
     if owners:
         assert ref.l3_occupancy_by_owner() == other.l3_occupancy_by_owner()
@@ -203,6 +212,127 @@ def test_lru_state_carries_across_chunk_boundaries():
         results.append(tuple(getattr(c, f) for f in INT_COUNTERS)
                        + (fast.l3_resident_count(),))
     assert all(r == results[0] for r in results)
+
+
+# ---------------------------------------------------------------------------
+# Randomized differential test: random sockets, random access programs
+# ---------------------------------------------------------------------------
+
+WAYS = (1, 2, 3, 5, 8, 12, 20)
+
+
+@st.composite
+def sockets(draw):
+    """1-3 cores; every level's ways from WAYS and a power-of-two set
+    count, the three levels ordered so capacity never shrinks L1 -> L3;
+    random prefetcher and writeback throttling."""
+    shapes = sorted(
+        [(draw(st.sampled_from(WAYS)), 1 << draw(st.integers(0, 5)))
+         for _ in range(3)],
+        key=lambda shape: shape[0] * shape[1],
+    )
+    l1, l2, l3 = (
+        CacheGeometry(ways * n_sets * 64, 64, ways, name=name)
+        for (ways, n_sets), name in zip(shapes, ("L1D", "L2", "L3"))
+    )
+    return SocketConfig(
+        n_cores=draw(st.integers(1, 3)), l1=l1, l2=l2, l3=l3,
+        dram_bandwidth_Bps=GBps(draw(st.sampled_from((0.5, 2.0, 8.0)))),
+        prefetch=PrefetchConfig(
+            enabled=draw(st.booleans()),
+            degree=draw(st.integers(0, 8)),
+            detect_after=draw(st.integers(1, 4)),
+            n_streams=draw(st.integers(1, 4)),
+        ),
+        throttle_writebacks=draw(st.booleans()),
+        name="drawn",
+    )
+
+
+@st.composite
+def programs(draw, n_cores):
+    """A list of ``(core, chunk)`` steps and ``"flush"``/``"reset"``
+    markers. Chunks draw wide random lines, a hot set of at most 25
+    lines (L1 and L2 hits on slots that are not MRU), or strided
+    streams; descending streams end near line 0, so their prefetch
+    targets go negative."""
+    hot = np.array(draw(st.lists(st.integers(0, 4095), min_size=1,
+                                 max_size=25, unique=True)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = []
+    for _ in range(draw(st.integers(1, 40))):
+        kind = draw(st.sampled_from(
+            ("wide", "hot", "hot", "stream", "stream", "flush", "reset")
+        ))
+        if kind in ("flush", "reset"):
+            steps.append(kind)
+            continue
+        n = draw(st.integers(1, 64))
+        if kind == "wide":
+            lines = rng.integers(0, 1 << 20, size=n)
+        elif kind == "hot":
+            lines = rng.choice(hot, size=n)
+        else:
+            stride = draw(st.integers(1, 8)) * draw(st.sampled_from((1, -1)))
+            start = draw(st.integers(0, 64))
+            if stride < 0:
+                start += -stride * (n - 1)
+            lines = start + stride * np.arange(n)
+        steps.append((draw(st.integers(0, n_cores - 1)), AccessChunk(
+            lines=lines,
+            is_write=draw(st.booleans()),
+            ops_per_access=draw(st.integers(0, 20)),
+            stream_id=draw(st.integers(0, 3)),
+            serialize=draw(st.booleans()),
+            extra_ns=draw(st.sampled_from((0.0, 0.0, 37.25))),
+            prefetchable=draw(st.booleans()),
+        )))
+    return steps
+
+
+@st.composite
+def cases(draw):
+    socket = draw(sockets())
+    return socket, draw(st.booleans()), draw(programs(socket.n_cores))
+
+
+@needs_c
+@given(cases())
+@settings(max_examples=400, deadline=None)
+def test_random_programs_match_list_kernel(case):
+    """The array kernel equals the list kernel on random sockets and
+    programs: every finish time and counter bit for bit, the arbiter,
+    and the L3 contents and owners, also across flushes and resets."""
+    socket, track_owner, steps = case
+    ref, arr = pair(socket, track_owner=track_owner)
+    drawn = sorted({int(a) for step in steps if isinstance(step, tuple)
+                    for a in step[1].lines})
+    clock = [0.0] * socket.n_cores
+
+    def assert_same_l3():
+        assert ref.l3_resident_count() == arr.l3_resident_count()
+        assert [ref.l3_contains(a) for a in drawn] == [
+            arr.l3_contains(a) for a in drawn
+        ]
+        if track_owner:
+            assert ref.l3_occupancy_by_owner() == arr.l3_occupancy_by_owner()
+
+    for step in steps:
+        if step == "flush":
+            assert_same_l3()
+            ref.flush_caches()
+            arr.flush_caches()
+        elif step == "reset":
+            assert_same_counters(ref, arr, socket.n_cores)
+            ref.reset_counters()
+            arr.reset_counters()
+        else:
+            core, chunk = step
+            t = ref.run_chunk(core, chunk, clock[core])
+            assert bits(arr.run_chunk(core, chunk, clock[core])) == bits(t)
+            clock[core] = t
+    assert_same_counters(ref, arr, socket.n_cores)
+    assert_same_l3()
 
 
 # ---------------------------------------------------------------------------

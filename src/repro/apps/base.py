@@ -20,11 +20,15 @@ buffers and a per-iteration sequence of *phases*:
 
 Subclasses define :meth:`buffer_specs`, :meth:`iteration_phases` and the
 communication volume; everything else (allocation, chunking, staging,
-jitter) lives here.
+jitter) lives here, twice: :meth:`RankApp.chunks` generates the stream
+one chunk at a time (the reference semantics), and
+:meth:`RankApp.fill_block` stages the same stream a block at a time for
+the scheduler, drawing each run's random indices in one call.
 """
 
 from __future__ import annotations
 
+from abc import abstractmethod
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
@@ -41,6 +45,14 @@ from ..workloads.distributions import IndexDistribution
 #: Staging buffers rotated for off-socket traffic (defeats L3 reuse of
 #: large messages across iterations, like real rendezvous buffers).
 REMOTE_STAGING_POOL = 4
+
+#: Prefetcher stream ids of the off-socket and on-socket staging
+#: buffers. A buffer's own streams use ``1 +`` its index in
+#: ``buffer_specs()``, so within a rank no two buffers share a stream
+#: tracker, and none shares one with the staging streams or with the
+#: pure-wire chunk (id 0).
+REMOTE_STAGING_STREAM = 0x7E50
+LOCAL_STAGING_STREAM = 0x10CA
 
 
 @dataclass(frozen=True)
@@ -77,6 +89,24 @@ class RandomPhase:
 Phase = object  # StreamPhase | RandomPhase (kept loose for 3.10)
 
 
+@dataclass(frozen=True)
+class _Run:
+    """One phase or communication step of :meth:`RankApp.chunks` as a
+    run of ``quantum``-access chunks (the last may be short): ``total``
+    lines swept cyclically from the start of ``buf``, or, when
+    ``random``, ``total`` random element accesses into it. Only the
+    run's first chunk carries ``extra_ns``."""
+
+    buf: Buffer
+    total: int
+    is_write: bool
+    ops_per_access: int
+    stream_id: int = 0
+    extra_ns: float = 0.0
+    random: bool = False
+    distribution: Optional[IndexDistribution] = None
+
+
 class RankApp(SimThread):
     """One application rank, expressed as buffers + phases.
 
@@ -111,16 +141,17 @@ class RankApp(SimThread):
         self._ctx: Optional[ThreadContext] = None
         self._local_staging: Optional[Buffer] = None
         self._remote_staging: List[Buffer] = []
+        self._stream_ids: Dict[str, int] = {}
 
     # -- subclass surface ---------------------------------------------------------
 
+    @abstractmethod
     def buffer_specs(self) -> Sequence[BufferSpec]:
         """Named allocations, in paper units."""
-        raise NotImplementedError
 
+    @abstractmethod
     def iteration_phases(self) -> Sequence[Phase]:
         """Compute phases of one timestep, in order."""
-        raise NotImplementedError
 
     def comm_bytes_by_distance(self) -> Dict[Distance, int]:
         """Per-iteration message volume by partner distance. Empty (the
@@ -131,7 +162,8 @@ class RankApp(SimThread):
 
     def start(self, ctx: ThreadContext) -> None:
         self._ctx = ctx
-        for spec in self.buffer_specs():
+        for i, spec in enumerate(self.buffer_specs()):
+            self._stream_ids[spec.label] = 1 + i
             sim_bytes = max(
                 ctx.scaled_bytes(spec.paper_bytes), ctx.socket.line_bytes
             )
@@ -158,6 +190,12 @@ class RankApp(SimThread):
                     ctx.addrspace.alloc(size, elem_bytes=8, label=f"{self.name}.staging.{i}")
                     for i in range(REMOTE_STAGING_POOL)
                 ]
+        # fill_block cursor: the lazy run stream, its current run and the
+        # accesses already staged from it (chunks() keeps its own
+        # generator-local state; the scheduler pins one path per run).
+        self._fb_runs = self._runs()
+        self._fb_run: Optional[_Run] = None
+        self._fb_pos = 0
 
     def chunks(self) -> Iterator[AccessChunk]:
         assert self._ctx is not None, "start() must run first"
@@ -182,7 +220,7 @@ class RankApp(SimThread):
         total_lines = int(buf.n_lines * phase.passes)
         base = buf.base_line
         n = buf.n_lines
-        stream_id = hash(phase.buffer) & 0xFFFF
+        stream_id = self._stream_ids[phase.buffer]
         pos = 0
         while total_lines > 0:
             take = min(self.quantum, total_lines)
@@ -226,13 +264,15 @@ class RankApp(SimThread):
         # pool (DRAM traffic); on-socket bytes hit one resident buffer.
         if self._remote_staging:
             staging = self._remote_staging[iteration % len(self._remote_staging)]
-            yield from self._staging_chunks(staging, extra_first=extra, stream_id=0x7E50)
+            yield from self._staging_chunks(
+                staging, extra_first=extra, stream_id=REMOTE_STAGING_STREAM
+            )
             emitted = True
         if self._local_staging is not None:
             yield from self._staging_chunks(
                 self._local_staging,
                 extra_first=0.0 if emitted else extra,
-                stream_id=0x10CA,
+                stream_id=LOCAL_STAGING_STREAM,
             )
             emitted = True
         if not emitted and extra > 0:
@@ -262,6 +302,113 @@ class RankApp(SimThread):
             )
             first = False
             pos += take
+
+    # -- block staging -------------------------------------------------------------
+
+    def fill_block(self, writer) -> None:
+        """Stage the next block of the :meth:`chunks` stream.
+
+        A block may start and end anywhere in a run, at chunk
+        boundaries. A swept run's lines are one closed-form slice. A
+        random run's indices are one ``rng.integers`` draw for every
+        chunk staged from it (``Generator.integers`` continues one bit
+        stream across calls, so one draw is the concatenation of the
+        per-chunk draws), or with a distribution one
+        :meth:`~repro.workloads.distributions.IndexDistribution.sample_block`
+        for the whole chunks plus one ``sample`` for a short tail. The
+        comm phase's noise draw happens when the cursor enters it, so
+        the rank's RNG is consumed draw for draw as :meth:`chunks`
+        consumes it.
+        """
+        assert self._ctx is not None, "start() must run first"
+        q = self.quantum
+        budget = min(writer.free_chunks, max(1, writer.free_lines // q))
+        while budget > 0:
+            run, pos = self._fb_run, self._fb_pos
+            if run is None or pos >= run.total:
+                run = self._fb_run = next(self._fb_runs, None)
+                self._fb_pos = 0
+                if run is None:
+                    return
+                continue
+            end = min(run.total, pos + budget * q)
+            lines = self._run_lines(run, pos, end)
+            meta = dict(
+                is_write=run.is_write,
+                ops_per_access=run.ops_per_access,
+                stream_id=run.stream_id,
+                prefetchable=not run.random,
+            )
+            n = end - pos
+            first = min(q, n) if pos == 0 and run.extra_ns else 0
+            if first:
+                writer.push(lines[:first], extra_ns=run.extra_ns, **meta)
+            tail = first + (n - first) // q * q
+            if tail > first:
+                writer.push_uniform(lines[first:tail], q, **meta)
+            if tail < n:
+                writer.push(lines[tail:], **meta)
+            budget -= -(-n // q)
+            self._fb_pos = end
+
+    def _run_lines(self, run: _Run, start: int, end: int) -> np.ndarray:
+        """Line addresses of accesses ``[start, end)`` of ``run``
+        (``start`` on a chunk boundary)."""
+        buf = run.buf
+        if not run.random:
+            return buf.base_line + np.arange(start, end, dtype=np.int64) % buf.n_lines
+        rng, n, dist = self._ctx.rng, buf.n_elems, run.distribution
+        if dist is None:
+            return buf.lines_of_indices(rng.integers(0, n, size=end - start))
+        q = self.quantum
+        whole, tail = divmod(end - start, q)
+        idx = dist.sample_block(rng, whole, q, n) if whole else np.empty(0, np.int64)
+        if tail:
+            idx = np.concatenate([idx, dist.sample(rng, tail, n)])
+        return buf.lines_of_indices(idx)
+
+    def _runs(self) -> Iterator[_Run]:
+        """The :meth:`chunks` stream as runs, generated lazily so that
+        each iteration's noise draw happens in stream order."""
+        for it in range(self.n_iterations):
+            for phase in self.iteration_phases():
+                if isinstance(phase, StreamPhase):
+                    buf = self._buffer(phase.buffer)
+                    yield _Run(
+                        buf, int(buf.n_lines * phase.passes), phase.is_write,
+                        phase.ops_per_access, self._stream_ids[phase.buffer],
+                    )
+                elif isinstance(phase, RandomPhase):
+                    yield _Run(
+                        self._buffer(phase.buffer), phase.n_accesses,
+                        phase.is_write, phase.ops_per_access, random=True,
+                        distribution=phase.distribution,
+                    )
+                else:
+                    raise ConfigError(f"unknown phase type {type(phase).__name__}")
+            comm = self.comm_bytes_by_distance()
+            if not comm or self.comm_env is None:
+                continue
+            env = self.comm_env
+            jitter = float(env.noise.sample_factor(self._ctx.rng))
+            extra = env.comm_model.exchange_ns(comm) * jitter
+            staging = []
+            if self._remote_staging:
+                pool = self._remote_staging
+                staging.append((pool[it % len(pool)], REMOTE_STAGING_STREAM))
+            if self._local_staging is not None:
+                staging.append((self._local_staging, LOCAL_STAGING_STREAM))
+            for buf, stream_id in staging:
+                yield _Run(
+                    buf, buf.n_lines, is_write=True, ops_per_access=2,
+                    stream_id=stream_id, extra_ns=extra,
+                )
+                extra = 0.0
+            if not staging and extra > 0:
+                any_buf = next(iter(self.buffers.values()))
+                yield _Run(
+                    any_buf, 1, is_write=False, ops_per_access=1, extra_ns=extra
+                )
 
     # -- helpers ---------------------------------------------------------------
 

@@ -27,13 +27,14 @@ A slot is refilled only when fully drained (``head == count``), so the
 "ring" degenerates to a linear block that rewinds to offset 0 on refill
 — same semantics, no wrap-around logic in the hot loop. The ``lines``
 arena grows geometrically when a single block needs more room (a rare
-path: oversized chunks from generator workloads); metadata capacity is
-fixed at ``chunk_cap`` chunks per block.
+path: a workload whose chunks outgrow ``DEFAULT_LINES_PER_CHUNK``);
+metadata capacity is fixed at ``chunk_cap`` chunks per block.
 
-Workloads fill their slot through :class:`QueueWriter`, either one
-chunk at a time (:meth:`QueueWriter.push` — the universal generator
-fallback) or vectorised (:meth:`QueueWriter.push_uniform` — one numpy
-copy for a whole block, used by the ``fill_block`` implementations).
+Every thread fills its slot in its ``fill_block`` through
+:class:`QueueWriter`: vectorised (:meth:`QueueWriter.push_uniform` — one
+numpy copy for a run of equal-length chunks), or one chunk at a time
+(:meth:`QueueWriter.push`) where chunks differ: a short tail, a chunk
+that carries ``extra_ns``, or alternating chunk lengths.
 """
 
 from __future__ import annotations
@@ -177,19 +178,6 @@ class QueueWriter:
         q.count[s] = c + 1
         q.used_lines[s] = pos + n
         return True
-
-    def push_chunk(self, chunk) -> bool:
-        """Append an :class:`~repro.engine.chunk.AccessChunk` (the
-        generator-fallback path)."""
-        return self.push(
-            chunk.lines,
-            is_write=chunk.is_write,
-            ops_per_access=chunk.ops_per_access,
-            stream_id=chunk.stream_id,
-            serialize=chunk.serialize,
-            extra_ns=chunk.extra_ns,
-            prefetchable=chunk.prefetchable,
-        )
 
     def push_uniform(
         self,

@@ -16,20 +16,21 @@ accident of ``add_thread`` call order.
 
 The interleave is macro-stepped (DESIGN.md decision 11): threads stage
 whole *blocks* of chunks into preallocated per-core queues
-(:mod:`repro.engine.blockq`) — via their vectorised ``fill_block`` hook
-or a universal generator fallback — and the min-clock loop consumes
-them in the compiled ``repro.engine._ckernel.sched_step``. Kernels that
-cannot bind the compiled step (the list kernel on hosts without a C
-compiler, and the multi-socket :class:`~repro.engine.node.NodeKernel`)
-run the bit-identical pure-Python :meth:`Scheduler._py_macro_step`.
+(:mod:`repro.engine.blockq`) through their vectorised ``fill_block``,
+and the min-clock loop consumes them in the compiled
+``repro.engine._ckernel.sched_step``. Kernels that cannot bind the
+compiled step (the list kernel on hosts without a C compiler, and the
+multi-socket :class:`~repro.engine.node.NodeKernel`) run the
+bit-identical pure-Python :meth:`Scheduler._py_macro_step`.
 Python is re-entered only to refill a drained queue, so per-chunk
 scheduling overhead amortises over the block. The original
-chunk-at-a-time loop survives as the semantic reference,
+chunk-at-a-time loop, which resumes each thread's ``chunks()``
+generator once per chunk, survives as the semantic reference,
 :func:`repro.bench.run_chunk_at_a_time`: all of them produce
 bit-identical event counters and exactly-equal finish times
 (``tests/engine/test_sched_equivalence.py``).
 
-Stopping conditions: all *main* threads finish (their generators are
+Stopping conditions: all *main* threads finish (their streams are
 exhausted or they reach an access budget), or a global simulated-time /
 access safety limit trips.
 """
@@ -69,12 +70,14 @@ class CoreState:
 
     core_id: int
     thread: SimThread
+    #: The thread's ``chunks()`` stream, read only by the chunk-at-a-time
+    #: reference; the macro scheduler stages through ``fill_block``.
     gen: Iterator[AccessChunk]
     clock_ns: float = 0.0
     accesses: int = 0
     done: bool = False
     is_main: bool = False
-    #: Completion time, set when the generator is exhausted or the budget
+    #: Completion time, set when the stream is exhausted or the budget
     #: is reached.
     finish_ns: Optional[float] = None
 
@@ -116,10 +119,10 @@ class _MacroState:
         n = len(cores)
         self.q = BlockQueues(n, chunk_cap=DEFAULT_CHUNK_CAP)
         self.writers = [QueueWriter(self.q, i) for i in range(n)]
-        #: True once a thread's stream ended (generator exhausted or
-        #: ``fill_block`` produced nothing). Sticky across windows, so a
-        #: reopened exhausted main immediately re-completes — matching
-        #: what ``next()`` on a spent generator does in chunk mode.
+        #: True once a thread's stream ended (``fill_block`` staged
+        #: nothing). Sticky across windows, so a reopened exhausted main
+        #: immediately re-completes — matching what ``next()`` on a
+        #: spent generator does in chunk mode.
         self.exhausted: List[bool] = [False] * n
         self.core_ids = np.array([c.core_id for c in cores], dtype=np.int64)
         self.clock = np.zeros(n, dtype=np.float64)
@@ -350,31 +353,20 @@ class Scheduler:
         return _ck.STEP_DONE
 
     def _refill(self, st: _MacroState, slot: int) -> None:
-        """Stage the next block of chunks for ``slot``: the thread's
-        vectorised ``fill_block`` if it has one, else up to a block's
-        worth of generator pulls. Zero chunks staged = the stream ended
+        """Stage the next block of chunks for ``slot`` through the
+        thread's ``fill_block``. Zero chunks staged = the stream ended
         (sticky ``exhausted``). Line addresses are validated — and the
         kernel's dirty bitmap pre-grown — for the whole block here,
         because the compiled loop indexes it unguarded."""
-        cs = self.cores[slot]
         w = st.writers[slot]
         w.begin()
-        thread = cs.thread
-        if getattr(thread, "supports_fill_block", False):
-            thread.fill_block(w)
-            if st.q.count[slot] == 0:
-                st.exhausted[slot] = True
-        else:
-            while w.free_chunks > 0:
-                chunk = next(cs.gen, None)
-                if chunk is None or len(chunk) == 0:
-                    st.exhausted[slot] = True
-                    break
-                w.push_chunk(chunk)
-        if st.exhausted[slot]:
+        self.cores[slot].thread.fill_block(w)
+        if st.q.count[slot] == 0:
+            st.exhausted[slot] = True
             st.flags[slot] |= _ck.F_EXHAUSTED
-        used = int(st.q.used_lines[slot])
-        if used and hasattr(self.fast, "ensure_line_capacity"):
+            return
+        if hasattr(self.fast, "ensure_line_capacity"):
+            used = int(st.q.used_lines[slot])
             self.fast.ensure_line_capacity(st.q.lines[slot, :used])
 
     def _seed_counters(self, st: _MacroState) -> None:

@@ -1,11 +1,15 @@
 """Simulated-thread protocol.
 
 A :class:`SimThread` is a workload pinned to one simulated core: it
-allocates buffers in :meth:`start` and then yields
-:class:`~repro.engine.chunk.AccessChunk` objects from :meth:`chunks`.
-Interference threads yield forever; benchmark/application threads return
-when their work is done (the scheduler treats generator exhaustion as
-thread completion).
+allocates buffers in :meth:`start`, and then describes its access stream
+twice. :meth:`chunks` yields :class:`~repro.engine.chunk.AccessChunk`
+objects one at a time: the reference semantics, read by the
+chunk-at-a-time loop (:func:`repro.bench.run_chunk_at_a_time`) and the
+trace recorder. :meth:`fill_block` stages the same stream a block at a
+time into the scheduler's queues: the only path the scheduler runs.
+Interference threads run forever; benchmark/application threads end
+when their work is done (an exhausted generator, or a block of zero
+chunks, is thread completion).
 """
 
 from __future__ import annotations
@@ -55,11 +59,6 @@ class SimThread(ABC):
     #: Chunk length this thread emits; the scheduler's interleave quantum.
     quantum: int = 256
 
-    #: True when the thread implements :meth:`fill_block`; the
-    #: macro-stepped scheduler then batches chunk generation instead of
-    #: resuming :meth:`chunks` once per chunk.
-    supports_fill_block: bool = False
-
     @abstractmethod
     def start(self, ctx: ThreadContext) -> None:
         """Allocate buffers / initialise state. Called exactly once."""
@@ -70,21 +69,22 @@ class SimThread(ABC):
         the thread terminates; infinite means it runs until the scheduler
         stops it (interference threads)."""
 
+    @abstractmethod
     def fill_block(self, writer) -> None:
-        """Vectorised block generation (optional fast path).
+        """Stage the next block of the :meth:`chunks` stream.
 
         Stage up to ``writer.free_chunks`` chunks — ideally with a
         single numpy call via
         :meth:`~repro.engine.blockq.QueueWriter.push_uniform` — into the
-        thread's per-core queue. Must produce *exactly the same chunk
-        stream* as :meth:`chunks` (same lines, same RNG consumption,
-        same metadata), because the scheduler-equivalence suite holds
-        the two paths bit-identical. Staging zero chunks means the
-        workload is finished (the generator-path equivalent of
-        ``StopIteration``). Implementations set
-        :attr:`supports_fill_block` to True.
+        thread's per-core queue, continuing where the previous block
+        stopped. Must produce *exactly the same chunk stream* as
+        :meth:`chunks` (same lines, same RNG consumption, same
+        metadata): ``tests/workloads/test_fill_block.py`` holds every
+        workload to that by sha256, and the scheduler-equivalence suite
+        holds the scheduler bit-identical to the chunk-at-a-time
+        reference. Staging zero chunks means the workload is finished
+        (the equivalent of ``StopIteration``).
         """
-        raise NotImplementedError
 
     def describe(self) -> str:
         """One-line description for experiment logs."""

@@ -114,8 +114,6 @@ class BubbleProbe(SimThread):
                     lines=lines, is_write=False, ops_per_access=4, stream_id=1
                 )
 
-    supports_fill_block = True
-
     def fill_block(self, writer) -> None:
         """Stage whole bubble cycles (resident + stream chunks) with one
         batched RNG draw and a broadcast stream-line matrix.

@@ -114,8 +114,6 @@ class BWThr(SimThread):
             if which == self.n_buffers:
                 which = 0
 
-    supports_fill_block = True
-
     def fill_block(self, writer) -> None:
         """Stage a whole round-robin sweep segment in one numpy call.
 

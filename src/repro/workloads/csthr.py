@@ -71,8 +71,6 @@ class CSThr(SimThread):
                 buf, idx, is_write=True, ops_per_access=ops, prefetchable=False
             )
 
-    supports_fill_block = True
-
     def fill_block(self, writer) -> None:
         """Stage a block of random-touch chunks with one RNG draw.
 

@@ -102,8 +102,6 @@ class HotColdProbe(SimThread):
                     stream_id=1,
                 )
 
-    supports_fill_block = True
-
     def fill_block(self, writer) -> None:
         """Stage hot/cold cycles with one batched RNG draw.
 

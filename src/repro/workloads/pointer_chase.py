@@ -73,6 +73,11 @@ class PointerChase(SimThread):
         order = np.arange(self.buffer.n_lines, dtype=np.int64)
         ctx.rng.shuffle(order)
         self._order = order
+        # fill_block cursor (chunks() keeps its own generator-local
+        # copy; the scheduler pins one path per run).
+        self._fb_lines = order + self.buffer.base_line
+        self._fb_pos = 0
+        self._fb_remaining = self.n_accesses
 
     def chunks(self) -> Iterator[AccessChunk]:
         assert self._ctx is not None and self.buffer is not None
@@ -98,6 +103,28 @@ class PointerChase(SimThread):
             )
             if remaining is not None:
                 remaining -= size
+
+    def fill_block(self, writer) -> None:
+        """Stage a block of the chase with one gather: the block's hops
+        continue around the cycle where the last block stopped, and a
+        finite chase ends on the same short chunk as :meth:`chunks`."""
+        assert self._ctx is not None and self.buffer is not None
+        q = self.quantum
+        size = q * min(writer.free_chunks, max(1, writer.free_lines // q))
+        if self._fb_remaining is not None:
+            size = min(size, self._fb_remaining)
+            self._fb_remaining -= size
+        if size <= 0:
+            return
+        pos = self._fb_pos
+        lines = self._fb_lines.take(np.arange(pos, pos + size), mode="wrap")
+        self._fb_pos = (pos + size) % len(self._fb_lines)
+        meta = dict(ops_per_access=HOP_OPS, serialize=True, prefetchable=False)
+        whole = size - size % q
+        if whole:
+            writer.push_uniform(lines[:whole], q, **meta)
+        if whole < size:
+            writer.push(lines[whole:], **meta)
 
     def describe(self) -> str:
         return f"{self.name}: dependent chain over {self.buffer_bytes} sim-bytes"

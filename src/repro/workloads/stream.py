@@ -100,8 +100,6 @@ class StreamTriad(SimThread):
             )
             pos = end % n_lines
 
-    supports_fill_block = True
-
     def fill_block(self, writer) -> None:
         """Stage whole triad cycles (b-read, c-read, a-write) with one
         broadcast line matrix per block and per-chunk metadata arrays

@@ -104,8 +104,6 @@ class ProbabilisticBenchmark(SimThread):
             if remaining is not None:
                 remaining -= size
 
-    supports_fill_block = True
-
     def fill_block(self, writer) -> None:
         """Stage a block of distribution-sampled chunks.
 

@@ -1,9 +1,18 @@
 """RankApp phase framework."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+
 from repro.apps import BufferSpec, CommEnv, RandomPhase, RankApp, StreamPhase
+from repro.apps.base import REMOTE_STAGING_STREAM
 from repro.cluster import CommModel, Distance, NoiseModel
 from repro.config import NetworkConfig, tiny_socket
 from repro.engine import ThreadContext
@@ -136,13 +145,19 @@ class TestCommunication:
         assert sum(extras) == pytest.approx(expected, rel=0.01)
 
     def test_remote_staging_rotates_buffers(self):
+        """Iteration i stages its off-socket traffic through every line
+        of pool buffer i, in order."""
         app = TwoPhaseApp(comm=comm_env(), remote_bytes=16 * KiB, n_iterations=2)
         app.start(ctx_for())
-        assert len(app._remote_staging) > 1
+        pool = app._remote_staging
+        assert len(pool) > 1
         chunks = list(app.chunks())
-        staged = [c for c in chunks if c.stream_id == 0x7E50]
-        bufs = {min(c.lines) // 1000 for c in staged}  # coarse grouping
+        staged = [c for c in chunks if c.stream_id == REMOTE_STAGING_STREAM]
         assert len(staged) >= 2
+        expected = [np.arange(b.base_line, b.base_line + b.n_lines) for b in pool[:2]]
+        assert np.array_equal(
+            np.concatenate([c.lines for c in staged]), np.concatenate(expected)
+        )
 
     def test_local_comm_uses_single_resident_buffer(self):
         app = TwoPhaseApp(comm=comm_env(), local_bytes=8 * KiB)
@@ -162,3 +177,46 @@ class TestCommunication:
         app = WireOnly(comm=comm_env())
         app.start(ctx_for())
         assert sum(c.extra_ns for c in app.chunks()) > 0
+
+
+#: Prints the prefetcher stream ids of an MCB and a Lulesh rank with
+#: on- and off-socket communication, in order of first use.
+STREAM_IDS_SCRIPT = """
+from repro.apps import CommEnv, LuleshProxy, MCBProxy
+from repro.cluster import CommModel, NoiseModel, ProcessMapping
+from repro.config import NetworkConfig, xeon20mb, xeon20mb_cluster
+from repro.engine import ThreadContext
+from repro.mem import AddressSpace
+import json
+import numpy as np
+
+cluster = xeon20mb_cluster(n_nodes=32)
+env = CommEnv(CommModel.for_network(NetworkConfig()), NoiseModel())
+for app in (
+    MCBProxy(mapping=ProcessMapping(cluster, 24, 4), comm_env=env, n_iterations=1),
+    LuleshProxy(mapping=ProcessMapping(cluster, 64, 4), comm_env=env, n_iterations=1),
+):
+    app.start(ThreadContext(xeon20mb(), AddressSpace(), np.random.default_rng(0), 0))
+    ids = [c.stream_id for c in app.chunks() if c.prefetchable]
+    print(json.dumps(sorted(set(ids), key=ids.index)))
+"""
+
+
+def test_stream_ids_do_not_depend_on_the_hash_seed():
+    """Prefetcher stream ids come from the buffer order, not from the
+    process's salted string hash: two interpreters with different
+    ``PYTHONHASHSEED`` values compute the same ids."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", STREAM_IDS_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    mcb_ids, lulesh_ids = (json.loads(line) for line in outs[0].splitlines())
+    assert len(set(mcb_ids)) == len(mcb_ids) == 4   # geometry, particles + staging
+    assert REMOTE_STAGING_STREAM in mcb_ids and REMOTE_STAGING_STREAM in lulesh_ids

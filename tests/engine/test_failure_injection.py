@@ -7,11 +7,13 @@ import pytest
 
 from repro.config import tiny_socket
 from repro.engine import AccessChunk, SocketSimulator
-from repro.engine.thread import SimThread, ThreadContext
+from repro.engine.thread import ThreadContext
 from repro.errors import SimulationError
 
+from .gen_threads import GeneratorThread
 
-class ExplodingThread(SimThread):
+
+class ExplodingThread(GeneratorThread):
     """Yields a few chunks, then raises from inside its generator."""
 
     name = "exploder"
@@ -29,7 +31,7 @@ class ExplodingThread(SimThread):
         raise RuntimeError("injected generator failure")
 
 
-class BrokenStartThread(SimThread):
+class BrokenStartThread(GeneratorThread):
     name = "broken-start"
 
     def start(self, ctx: ThreadContext) -> None:
@@ -39,7 +41,7 @@ class BrokenStartThread(SimThread):
         yield AccessChunk(lines=[0])
 
 
-class EmptyChunkThread(SimThread):
+class EmptyChunkThread(GeneratorThread):
     """A thread whose generator immediately yields an empty chunk —
     interpreted as completion, never as a hang."""
 
@@ -92,7 +94,7 @@ class TestResourceExhaustion:
         sim = SocketSimulator(tiny)
         sim.addrspace = AddressSpace(line_bytes=64, capacity_bytes=2048)
 
-        class Hungry(SimThread):
+        class Hungry(GeneratorThread):
             name = "hungry"
 
             def start(self, ctx):
@@ -110,7 +112,7 @@ class TestResourceExhaustion:
         trips instead of looping forever."""
         from repro.engine.scheduler import Scheduler
 
-        class Forever(SimThread):
+        class Forever(GeneratorThread):
             name = "forever"
 
             def __init__(self):

@@ -8,24 +8,27 @@ approx). This is the contract that lets the fast path be the only path
 — any simulation result is reproducible one chunk at a time.
 
 The suite drives all six workloads (the two paper interference threads,
-the probabilistic benchmark, STREAM triad, hot/cold probe and bubble)
-through warmup + measure windows on both the array and list kernels,
-then covers the macro-stepping edge cases: budget exhaustion mid-block,
-generator exhaustion mid-block, window reopen, runaway guards and the
-roster tie-break invariant.
+the probabilistic benchmark, STREAM triad, hot/cold probe and bubble),
+and the application ranks and pointer chase, through warmup + measure
+windows on both the array and list kernels, then covers the
+macro-stepping edge cases: budget exhaustion mid-block, stream
+exhaustion mid-block, window reopen, runaway guards and the roster
+tie-break invariant. Test-only threads stage their ``chunks()`` through
+the ``GeneratorThread`` helper.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
 
+from repro.apps import CommEnv, LuleshProxy, MCBProxy
 from repro.bench import run_chunk_at_a_time
-from repro.config import tiny_socket, xeon20mb
+from repro.cluster import CommModel, NoiseModel, ProcessMapping
+from repro.config import NetworkConfig, tiny_socket, xeon20mb, xeon20mb_cluster
 from repro.engine import (
-    AccessChunk,
     CoreState,
     FastSocket,
     Scheduler,
@@ -33,12 +36,21 @@ from repro.engine import (
     make_socket_kernel,
     scheduler,
 )
-from repro.engine.thread import SimThread, ThreadContext
+from repro.engine.thread import ThreadContext
 from repro.errors import SimulationError
 from repro.mem import AddressSpace
-from repro.workloads import BWThr, BubbleProbe, CSThr, HotColdProbe, StreamTriad
+from repro.workloads import (
+    BWThr,
+    BubbleProbe,
+    CSThr,
+    HotColdProbe,
+    PointerChase,
+    StreamTriad,
+)
 from repro.workloads.distributions import UniformDist
 from repro.workloads.synthetic import ProbabilisticBenchmark
+
+from .gen_threads import FixedThread
 
 INT_COUNTERS = (
     "accesses", "l1_hits", "l2_hits", "l3_hits", "prefetch_hits",
@@ -110,28 +122,6 @@ def fingerprint(sched, outcomes) -> Tuple:
     return tuple(rows)
 
 
-class FixedThread(SimThread):
-    """Yields ``n_chunks`` chunks of ``size`` accesses (generator path)."""
-
-    def __init__(self, n_chunks=None, size=8, ops=1, name="fixed"):
-        self.n_chunks = n_chunks
-        self.size = size
-        self.ops = ops
-        self.name = name
-        self.base = 0
-
-    def start(self, ctx: ThreadContext) -> None:
-        buf = ctx.addrspace.alloc(64 * self.size * 4, elem_bytes=4)
-        self.base = buf.base_line
-
-    def chunks(self) -> Iterator[AccessChunk]:
-        i = 0
-        while self.n_chunks is None or i < self.n_chunks:
-            lines = [self.base + (j % 4) for j in range(self.size)]
-            yield AccessChunk(lines=lines, ops_per_access=self.ops)
-            i += 1
-
-
 def all_workloads():
     """All six workloads: four mains + the two paper interference threads."""
     return [
@@ -139,6 +129,26 @@ def all_workloads():
         (HotColdProbe(2 * 1024 * 1024, hot_fraction=0.9), True),
         (StreamTriad(array_bytes=8 * 1024 * 1024), True),
         (BubbleProbe(0.75), True),
+        (CSThr(buffer_bytes=2 * 1024 * 1024), False),
+        (BWThr(n_buffers=7), False),
+    ]
+
+
+def app_workloads():
+    """Three finite mains (an MCB rank at p = 4 with communication and
+    noise sigma = 0.2, a Lulesh rank, a pointer chase whose length is
+    not a multiple of its quantum) beside CSThr and BWThr."""
+    mapping = ProcessMapping(
+        xeon20mb_cluster(n_nodes=32), n_ranks=24, procs_per_socket=4
+    )
+    env = CommEnv(
+        comm_model=CommModel.for_network(NetworkConfig()),
+        noise=NoiseModel(sigma=0.2),
+    )
+    return [
+        (MCBProxy(n_particles=20_000, mapping=mapping, comm_env=env), True),
+        (LuleshProxy(edge=22, n_iterations=1), True),
+        (PointerChase(256 * 1024, n_accesses=5_000), True),
         (CSThr(buffer_bytes=2 * 1024 * 1024), False),
         (BWThr(n_buffers=7), False),
     ]
@@ -187,9 +197,25 @@ class TestModeEquivalence:
         assert prints["macro"] == prints["chunk"]
         assert prints["macro-py"] == prints["chunk"]
 
+    @pytest.mark.parametrize("kernel", ["arrays", "lists"])
+    def test_app_ranks_and_pointer_chase_bit_identical(self, monkeypatch, kernel):
+        """chunk == macro-C == macro-py for the application ranks and
+        the pointer chase: a budgeted window that stops the mains
+        mid-stream, then a window that runs them to completion."""
+        prints = {}
+        for mode in MODES:
+            run = window_runner(monkeypatch, mode)
+            sched = build_sched(app_workloads(), socket=xeon20mb(), kernel=kernel)
+            outcomes = run_windows(run, sched, [12_000, None])
+            assert all(c.done for c in sched.cores if c.is_main), mode
+            prints[mode] = fingerprint(sched, outcomes)
+        assert prints["macro"] == prints["chunk"]
+        assert prints["macro-py"] == prints["chunk"]
+
     def test_generator_fallback_bit_identical(self, monkeypatch):
-        """Threads without fill_block ride the generator refill path and
-        still match chunk-at-a-time exactly."""
+        """Threads that stage their ``chunks()`` one chunk at a time
+        (the ``GeneratorThread`` test helper) match chunk-at-a-time
+        exactly."""
         def shape():
             return [
                 (FixedThread(n_chunks=None, size=10, ops=3, name="m"), True),
@@ -234,7 +260,7 @@ class TestMacroEdgeCases:
         assert counts["macro-py"] == counts["chunk"]
 
     def test_generator_exhausts_mid_block(self, monkeypatch):
-        """A finite generator shorter than one block finishes with the
+        """A finite stream shorter than one block finishes with the
         exact chunk-path finish time."""
         prints = {}
         for mode in MODES:

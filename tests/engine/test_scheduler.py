@@ -1,35 +1,13 @@
 """Min-clock scheduler semantics."""
 
-from typing import Iterator, List
-
 import pytest
 
 from repro.config import tiny_socket
-from repro.engine import AccessChunk, CoreState, FastSocket, Scheduler
-from repro.engine.thread import SimThread, ThreadContext
+from repro.engine import CoreState, FastSocket, Scheduler
+from repro.engine.thread import ThreadContext
 from repro.errors import SimulationError
 
-
-class FixedThread(SimThread):
-    """Yields `n_chunks` chunks of `size` accesses with given compute."""
-
-    def __init__(self, n_chunks=None, size=8, ops=1, name="fixed"):
-        self.n_chunks = n_chunks
-        self.size = size
-        self.ops = ops
-        self.name = name
-        self.base = 0
-
-    def start(self, ctx: ThreadContext) -> None:
-        buf = ctx.addrspace.alloc(64 * self.size * 4, elem_bytes=4)
-        self.base = buf.base_line
-
-    def chunks(self) -> Iterator[AccessChunk]:
-        i = 0
-        while self.n_chunks is None or i < self.n_chunks:
-            lines = [self.base + (j % 4) for j in range(self.size)]
-            yield AccessChunk(lines=lines, ops_per_access=self.ops)
-            i += 1
+from .gen_threads import FixedThread
 
 
 def make_sched(threads_and_flags):

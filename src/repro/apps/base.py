@@ -50,7 +50,7 @@ REMOTE_STAGING_POOL = 4
 #: buffers. A buffer's own streams use ``1 +`` its index in
 #: ``buffer_specs()``, so within a rank no two buffers share a stream
 #: tracker, and none shares one with the staging streams or with the
-#: pure-wire chunk (id 0).
+#: default id 0.
 REMOTE_STAGING_STREAM = 0x7E50
 LOCAL_STAGING_STREAM = 0x10CA
 
@@ -259,29 +259,20 @@ class RankApp(SimThread):
         wire_ns = env.comm_model.exchange_ns(comm)
         jitter = float(env.noise.sample_factor(self._ctx.rng))
         extra = wire_ns * jitter
-        emitted = False
         # Pack/unpack traffic: off-socket bytes stream through a rotating
         # pool (DRAM traffic); on-socket bytes hit one resident buffer.
+        # start() stages every volume the wire time prices, so the first
+        # staging chunk always carries it.
         if self._remote_staging:
             staging = self._remote_staging[iteration % len(self._remote_staging)]
             yield from self._staging_chunks(
                 staging, extra_first=extra, stream_id=REMOTE_STAGING_STREAM
             )
-            emitted = True
+            extra = 0.0
         if self._local_staging is not None:
             yield from self._staging_chunks(
-                self._local_staging,
-                extra_first=0.0 if emitted else extra,
+                self._local_staging, extra_first=extra,
                 stream_id=LOCAL_STAGING_STREAM,
-            )
-            emitted = True
-        if not emitted and extra > 0:
-            # Pure-wire communication (no modelled memory traffic): charge
-            # the time against a single touch of the first buffer.
-            any_buf = next(iter(self.buffers.values()))
-            yield AccessChunk(
-                lines=[any_buf.base_line], is_write=False, ops_per_access=1,
-                extra_ns=extra,
             )
 
     def _staging_chunks(
@@ -404,11 +395,6 @@ class RankApp(SimThread):
                     stream_id=stream_id, extra_ns=extra,
                 )
                 extra = 0.0
-            if not staging and extra > 0:
-                any_buf = next(iter(self.buffers.values()))
-                yield _Run(
-                    any_buf, 1, is_write=False, ops_per_access=1, extra_ns=extra
-                )
 
     # -- helpers ---------------------------------------------------------------
 

@@ -8,7 +8,9 @@ prefetch-staged lines, and small register blocks for the bandwidth
 arbiter and the per-core stride prefetchers. That layout is deliberately
 a stable ABI: this module compiles (at first use, with the system C
 compiler, via stdlib ``ctypes`` — no third-party build dependency) a
-small shared object whose ``run_chunk`` walks the same buffers natively.
+small shared object whose ``run_chunk`` walks the same buffers natively
+and adds each chunk's events to the core's rows of the kernel's counter
+matrices in place (column order in :mod:`repro.mem.counters`).
 
 Semantics are a line-for-line port of the reference list kernel
 (:class:`repro.engine.fastpath.FastSocket`). Its per-set recency lists
@@ -21,8 +23,8 @@ are found through ``idx3``, an open-addressing line → slot table with
 at least twice as many buckets as L3 slots; the L1 and L2 hit probes
 stay linear scans of their few ways. All floating-point expressions
 mirror the Python operand order and the library is built with
-``-ffp-contract=off``, so chunk finish times and arbiter state are
-bit-identical to the list kernel, not merely close.
+``-ffp-contract=off``, so chunk finish times, time counters and arbiter
+state are bit-identical to the list kernel, not merely close.
 
 ``lru_sampled``, the batch loop of :class:`repro.mem.tagstore.TagStore`
 (the set-sampled L3), keeps the older layout: monotonic age counters per
@@ -85,6 +87,10 @@ typedef struct {
     i64 *pf_expected; i64 *pf_order;
     i64 *pf_count;               /* per core */
     i64 *pf_issued;              /* per core */
+    /* per-core counter rows, columns in repro.mem.counters order:
+     * COUNT_FIELDS (int64) and TIME_FIELDS (float64, ns) */
+    i64 *counts; double *times;
+    i64 counts_stride; i64 times_stride;  /* row strides, in elements */
     /* geometry */
     i64 l1_mask; i64 l2_mask; i64 l3_mask;
     i64 w1; i64 w2;
@@ -283,9 +289,15 @@ static i32 l3_fill(KS *k, LRU r3, i64 set, i64 line, double t, i64 *nwb)
     return vs;
 }
 
-double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
-                 i64 is_write, i64 pf_on, i64 sid,
-                 double ops_ns, double dram_ns, double t, i64 *out)
+/* The per-access loop: runs one chunk on `core` from time t, returns
+ * its finish time and writes its event counts to out (L1, L2, L3 and
+ * prefetch hits, misses, prefetch fills, writebacks). noinline keeps
+ * the counter adds of run_chunk out of this function, so the loop is
+ * compiled on its own, as it was before they moved into C. */
+static __attribute__((noinline))
+double chunk_loop(KS *k, i64 core, const i64 *lines, i64 n,
+                  i64 is_write, i64 pf_on, i64 sid,
+                  double ops_ns, double dram_ns, double t, i64 *out)
 {
     i64 m1 = k->l1_mask, m2 = k->l2_mask, m3 = k->l3_mask;
     i64 w1 = k->w1, w2 = k->w2;
@@ -417,6 +429,35 @@ double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
     return t;
 }
 
+/* Run a chunk of n accesses with `ops` compute ops each on `core`,
+ * starting `extra` ns (off-socket time) after `now`, and add it to the
+ * core's counter rows with the operand order of the list kernel's
+ * Python adds, so every float sum is bit-identical to it. */
+double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
+                 i64 is_write, i64 pf_on, i64 sid, i64 ops,
+                 double ops_ns, double dram_ns, double now, double extra)
+{
+    i64 out[7];
+    double t = chunk_loop(k, core, lines, n, is_write, pf_on, sid,
+                          ops_ns, dram_ns, now + extra, out);
+    i64 *c = k->counts + core * k->counts_stride;
+    c[0] += n;                          /* accesses */
+    c[1] += out[0];                     /* l1_hits */
+    c[2] += out[1];                     /* l2_hits */
+    c[3] += out[2];                     /* l3_hits */
+    c[4] += out[3];                     /* prefetch_hits */
+    c[5] += out[4];                     /* l3_misses */
+    c[6] += out[5];                     /* prefetch_fills */
+    c[7] += out[6];                     /* writebacks */
+    c[8] += n * ops;                    /* compute_ops */
+    double *f = k->times + core * k->times_stride;
+    f[1] += (double)n * ops_ns;         /* compute_ns */
+    f[3] += extra;                      /* offsocket_ns */
+    f[0] += (t - now) - (double)n * ops_ns - extra;  /* stall_ns */
+    f[4] += t - now;                    /* elapsed_ns */
+    return t;
+}
+
 /* Macro-stepped multicore scheduler state (see repro.engine.blockq for
  * the queue layout and repro.engine.scheduler for the contract). All
  * members are 8 bytes wide, like KS, so the ctypes mirror cannot drift.
@@ -436,10 +477,6 @@ typedef struct {
     i64 *qoff; i64 *qlen; i64 *qwrite; i64 *qops;   /* [n][chunk_cap] */
     i64 *qsid; i64 *qser; i64 *qpf;                 /* [n][chunk_cap] */
     double *qextra;                                 /* [n][chunk_cap] */
-    i64 *cnt;        /* [n][9] int event-counter accumulators:
-                        accesses,l1,l2,l3,pf_hits,miss,pf_fills,wb,ops */
-    double *fcnt;    /* [n][4] float accumulators:
-                        compute_ns,offsocket_ns,stall_ns,elapsed_ns */
     i64 n; i64 chunk_cap; i64 line_cap;
     double ns_per_op; double dram_mlp_ns; double dram_serial_ns;
     i64 max_total;   /* safety limit (pre-dispatch check) */
@@ -451,9 +488,8 @@ typedef struct {
 /* Min-clock interleave over the queued blocks: repeatedly select the
  * least-advanced non-done slot (strict <, first slot wins ties — the
  * exact tie-break of the Python chunk loop) and execute its next queued
- * chunk via run_chunk. Float accumulation mirrors the Python wrapper's
- * per-chunk `+=` order exactly, so flushing fcnt back over the live
- * CoreCounters is bit-identical to having run chunk-at-a-time.
+ * chunk via run_chunk, which adds it to the core's counter rows in
+ * place, exactly as a chunk dispatched from Python does.
  *
  * Returns: 0 = window complete (no active mains left)
  *          1 = the selected slot's queue is empty and it is not
@@ -461,7 +497,7 @@ typedef struct {
  *          2 = dispatching the selected slot's next chunk would cross
  *              max_total (event = slot; caller raises)
  *          3 = max_steps chunks consumed (caller just re-enters)      */
-i64 sched_step(KS *k, SCH *s, i64 max_steps, i64 *out)
+i64 sched_step(KS *k, SCH *s, i64 max_steps)
 {
     i64 n = s->n, cc = s->chunk_cap, lc = s->line_cap;
     i64 steps = 0;
@@ -493,22 +529,10 @@ i64 sched_step(KS *k, SCH *s, i64 max_steps, i64 *out)
         if (s->total + len > s->max_total) { s->event = best; return 2; }
         double ops_ns = (double)s->qops[c] * s->ns_per_op;
         double dram = s->qser[c] ? s->dram_serial_ns : s->dram_mlp_ns;
-        double extra = s->qextra[c];
-        double now = s->clock[best];
         double t = run_chunk(k, s->core_ids[best],
                              s->qlines + best * lc + s->qoff[c], len,
-                             s->qwrite[c], s->qpf[c], s->qsid[c],
-                             ops_ns, dram, now + extra, out);
-        i64 *cn = s->cnt + best * 9;
-        cn[0] += len;
-        cn[1] += out[0]; cn[2] += out[1]; cn[3] += out[2]; cn[4] += out[3];
-        cn[5] += out[4]; cn[6] += out[5]; cn[7] += out[6];
-        cn[8] += len * s->qops[c];
-        double *fc = s->fcnt + best * 4;
-        fc[0] += (double)len * ops_ns;
-        fc[1] += extra;
-        fc[2] += (t - now) - (double)len * ops_ns - extra;
-        fc[3] += t - now;
+                             s->qwrite[c], s->qpf[c], s->qsid[c], s->qops[c],
+                             ops_ns, dram, s->clock[best], s->qextra[c]);
         s->clock[best] = t;
         s->accesses[best] += len;
         s->total += len;
@@ -579,6 +603,8 @@ class KStruct(ctypes.Structure):
         ("pf_stride", ctypes.c_void_p), ("pf_streak", ctypes.c_void_p),
         ("pf_expected", ctypes.c_void_p), ("pf_order", ctypes.c_void_p),
         ("pf_count", ctypes.c_void_p), ("pf_issued", ctypes.c_void_p),
+        ("counts", ctypes.c_void_p), ("times", ctypes.c_void_p),
+        ("counts_stride", i64), ("times_stride", i64),
         ("l1_mask", i64), ("l2_mask", i64), ("l3_mask", i64),
         ("w1", i64), ("w2", i64),
         ("blk1", i64), ("blk2", i64),
@@ -615,8 +641,6 @@ class SCHStruct(ctypes.Structure):
         ("qsid", ctypes.c_void_p), ("qser", ctypes.c_void_p),
         ("qpf", ctypes.c_void_p),
         ("qextra", ctypes.c_void_p),
-        ("cnt", ctypes.c_void_p),
-        ("fcnt", ctypes.c_void_p),
         ("n", i64), ("chunk_cap", i64), ("line_cap", i64),
         ("ns_per_op", ctypes.c_double),
         ("dram_mlp_ns", ctypes.c_double),
@@ -722,14 +746,12 @@ def load() -> Optional[ctypes.CDLL]:
     lib.run_chunk.restype = ctypes.c_double
     lib.run_chunk.argtypes = [
         ctypes.POINTER(KStruct), i64, ctypes.c_void_p, i64,
-        i64, i64, i64,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double,
-        ctypes.c_void_p,
+        i64, i64, i64, i64,
+        ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
     ]
     lib.sched_step.restype = i64
     lib.sched_step.argtypes = [
         ctypes.POINTER(KStruct), ctypes.POINTER(SCHStruct), i64,
-        ctypes.c_void_p,
     ]
     lib.lru_sampled.restype = i64
     lib.lru_sampled.argtypes = [

@@ -24,7 +24,11 @@ C-contiguous buffers:
 - small **register blocks** holding the bandwidth arbiter's controller
   state and the per-core stride-prefetcher stream tables, so the Python
   views (:class:`_ArbiterView`) and the compiled loop share one source of
-  truth.
+  truth;
+- the **counter matrices** ``counts`` (``int64``) and ``times``
+  (``float64``), one row per core, columns in :mod:`repro.mem.counters`
+  order, which the compiled code adds each chunk to in place. C holds
+  their addresses, so they are zeroed in place and never rebound.
 
 The hot loop over this state is a small C function compiled on first
 use from :mod:`repro.engine._ckernel` (stdlib ``ctypes``, no build
@@ -49,13 +53,15 @@ from __future__ import annotations
 
 import ctypes
 import warnings
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
 from ..config import PrefetchConfig, SocketConfig
 from ..errors import ConfigError
-from ..mem.counters import CoreCounters, SocketCounters
+from ..mem.counters import (
+    CoreCounters, SocketCounters, core_counters, counter_matrices,
+)
 from . import _ckernel
 from .chunk import AccessChunk
 from .fastpath import FastSocket
@@ -275,7 +281,7 @@ class ArraySocket:
             _PrefetcherView(socket.prefetch, self._pf_count, self._pf_issued, c)
             for c in range(n)
         ]
-        self.counters = [CoreCounters() for _ in range(n)]
+        self.counts, self.times = counter_matrices(n)
 
         t = socket.timing
         self._ns_per_op = t.ns_per_op
@@ -286,10 +292,8 @@ class ArraySocket:
         self._dram_ns = t.dram_latency_ns / t.mlp
         self._dram_serial_ns = t.dram_latency_ns
 
-        self._out = np.zeros(7, dtype=np.int64)
         self._ks = self._build_struct()
         self._ksp = ctypes.pointer(self._ks)
-        self._outp = self._out.ctypes.data
 
     # -- C plumbing ----------------------------------------------------------
 
@@ -317,6 +321,9 @@ class ArraySocket:
         ks.pf_order = self._pf_order.ctypes.data
         ks.pf_count = self._pf_count.ctypes.data
         ks.pf_issued = self._pf_issued.ctypes.data
+        ks.counts, ks.times = self.counts.ctypes.data, self.times.ctypes.data
+        ks.counts_stride = self.counts.strides[0] // self.counts.itemsize
+        ks.times_stride = self.times.strides[0] // self.times.itemsize
         ks.l1_mask, ks.l2_mask, ks.l3_mask = self._l1_mask, self._l2_mask, self._l3_mask
         ks.w1, ks.w2 = self._w1, self._w2
         ks.blk1, ks.blk2 = self._blk1, self._blk2
@@ -372,7 +379,8 @@ class ArraySocket:
     def run_chunk(self, core: int, chunk: AccessChunk, now_ns: float) -> float:
         """Execute ``chunk`` on ``core`` starting at ``now_ns``; returns
         the simulated completion time (identical semantics and float
-        results to :meth:`FastSocket.run_chunk`)."""
+        results to :meth:`FastSocket.run_chunk`). The compiled code adds
+        the chunk to the core's counter rows."""
         lines = chunk.lines
         if isinstance(lines, np.ndarray):
             if lines.dtype != np.int64 or not lines.flags.c_contiguous:
@@ -393,36 +401,14 @@ class ArraySocket:
                     "array kernel: negative line addresses are not supported"
                 )
 
-        ops_ns = chunk.ops_per_access * self._ns_per_op
-        dram_ns = self._dram_serial_ns if chunk.serialize else self._dram_ns
-        t0 = now_ns + chunk.extra_ns
-        w = chunk.is_write
-
-        t = self._lib.run_chunk(
+        ops = chunk.ops_per_access
+        return self._lib.run_chunk(
             self._ksp, core, lines.ctypes.data, n,
-            1 if w else 0, 1 if chunk.prefetchable else 0, chunk.stream_id,
-            ops_ns, dram_ns, t0, self._outp,
+            1 if chunk.is_write else 0, 1 if chunk.prefetchable else 0,
+            chunk.stream_id, ops, ops * self._ns_per_op,
+            self._dram_serial_ns if chunk.serialize else self._dram_ns,
+            now_ns, chunk.extra_ns,
         )
-        out = self._out
-        n_l1, n_l2, n_l3 = int(out[0]), int(out[1]), int(out[2])
-        n_pf, n_miss = int(out[3]), int(out[4])
-        n_pfill, n_wb = int(out[5]), int(out[6])
-
-        c = self.counters[core]
-        c.accesses += n
-        c.l1_hits += n_l1
-        c.l2_hits += n_l2
-        c.l3_hits += n_l3
-        c.prefetch_hits += n_pf
-        c.l3_misses += n_miss
-        c.prefetch_fills += n_pfill
-        c.writebacks += n_wb
-        c.compute_ops += n * chunk.ops_per_access
-        c.compute_ns += n * ops_ns
-        c.offsocket_ns += chunk.extra_ns
-        c.stall_ns += (t - now_ns) - n * ops_ns - chunk.extra_ns
-        c.elapsed_ns += t - now_ns
-        return t
 
     # -- inspection / control -------------------------------------------------
 
@@ -442,11 +428,18 @@ class ArraySocket:
         b = (line_addr & self._l3_mask) * self._w3
         return bool((self._tags3[b:b + self._w3] == line_addr).any())
 
+    @property
+    def counters(self) -> List[CoreCounters]:
+        """Every core's counters as :class:`CoreCounters` values, read
+        from the matrices (a copy: later chunks do not change it)."""
+        return core_counters(self.counts, self.times)
+
     def reset_counters(self) -> None:
         """Zero all event counters, keeping cache/link state (used to
-        separate warm-up from the measurement window)."""
-        for c in self.counters:
-            c.reset()
+        separate warm-up from the measurement window). The matrices are
+        zeroed in place: the compiled code holds their addresses."""
+        self.counts.fill(0)
+        self.times.fill(0.0)
         self.arbiter.reset_counters()
 
     def flush_caches(self) -> None:
@@ -470,7 +463,7 @@ class ArraySocket:
     def socket_counters(self, elapsed_ns: float) -> SocketCounters:
         """Aggregate snapshot over a window of ``elapsed_ns``."""
         return SocketCounters(
-            cores=[c.snapshot() for c in self.counters],
+            cores=self.counters,
             link_fill_bytes=self.arbiter.fill_bytes,
             link_writeback_bytes=self.arbiter.writeback_bytes,
             link_busy_ns=self.arbiter.busy_ns,
@@ -511,8 +504,6 @@ class _SchedBinding:
         sch.qser = q.cser.ctypes.data
         sch.qpf = q.cpf.ctypes.data
         sch.qextra = q.cextra.ctypes.data
-        sch.cnt = st.cnt.ctypes.data
-        sch.fcnt = st.fcnt.ctypes.data
         sch.n = q.n_slots
         sch.chunk_cap = q.chunk_cap
         sch.ns_per_op = fast._ns_per_op
@@ -534,9 +525,7 @@ class _SchedBinding:
         sch.total = st.total
         sch.active_mains = st.active_mains
         status = int(
-            self.fast._lib.sched_step(
-                self.fast._ksp, self._schp, max_steps, self.fast._outp
-            )
+            self.fast._lib.sched_step(self.fast._ksp, self._schp, max_steps)
         )
         # ... and back after the crossing.
         st.total = int(sch.total)

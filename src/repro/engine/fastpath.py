@@ -50,7 +50,9 @@ from typing import Dict, List, Optional
 
 from ..config import SocketConfig
 from ..mem.bandwidth import BandwidthArbiter
-from ..mem.counters import CoreCounters, SocketCounters
+from ..mem.counters import (
+    COLUMN, CoreCounters, SocketCounters, core_counters, counter_matrices,
+)
 from ..mem.prefetch import StridePrefetcher
 from .chunk import AccessChunk
 
@@ -103,7 +105,8 @@ class FastSocket:
 
         self.arbiter = BandwidthArbiter(socket)
         self.prefetchers = [StridePrefetcher(socket.prefetch) for _ in range(n)]
-        self.counters = [CoreCounters() for _ in range(n)]
+        #: Counter matrices, one row per core, as in the array kernel.
+        self.counts, self.times = counter_matrices(n)
 
         t = socket.timing
         self._ns_per_op = t.ns_per_op
@@ -119,8 +122,8 @@ class FastSocket:
     def run_chunk(self, core: int, chunk: AccessChunk, now_ns: float) -> float:
         """Execute ``chunk`` on ``core`` starting at ``now_ns``.
 
-        Returns the simulated completion time. Counters are updated in
-        bulk at the end of the chunk.
+        Returns the simulated completion time. The core's counter rows
+        are updated in bulk at the end of the chunk.
 
         Dirtiness is tracked at L3 granularity only: every write access
         marks its line dirty; a clean refetch clears the mark. Private
@@ -276,20 +279,21 @@ class FastSocket:
                 dirty.add(a)
 
         n = len(lines)
-        c = self.counters[core]
-        c.accesses += n
-        c.l1_hits += n_l1
-        c.l2_hits += n_l2
-        c.l3_hits += n_l3
-        c.prefetch_hits += n_pf
-        c.l3_misses += n_miss
-        c.prefetch_fills += n_pfill
-        c.writebacks += n_wb
-        c.compute_ops += n * chunk.ops_per_access
-        c.compute_ns += n * ops_ns
-        c.offsocket_ns += chunk.extra_ns
-        c.stall_ns += (t - now_ns) - n * ops_ns - chunk.extra_ns
-        c.elapsed_ns += t - now_ns
+        c, col = self.counts[core], COLUMN
+        c[col.accesses] += n
+        c[col.l1_hits] += n_l1
+        c[col.l2_hits] += n_l2
+        c[col.l3_hits] += n_l3
+        c[col.prefetch_hits] += n_pf
+        c[col.l3_misses] += n_miss
+        c[col.prefetch_fills] += n_pfill
+        c[col.writebacks] += n_wb
+        c[col.compute_ops] += n * chunk.ops_per_access
+        f = self.times[core]
+        f[col.compute_ns] += n * ops_ns
+        f[col.offsocket_ns] += chunk.extra_ns
+        f[col.stall_ns] += (t - now_ns) - n * ops_ns - chunk.extra_ns
+        f[col.elapsed_ns] += t - now_ns
         return t
 
     # -- inspection / control -------------------------------------------------
@@ -311,11 +315,17 @@ class FastSocket:
     def l3_contains(self, line_addr: int) -> bool:
         return line_addr in self._l3[line_addr & self._l3_mask]
 
+    @property
+    def counters(self) -> List[CoreCounters]:
+        """Every core's counters as :class:`CoreCounters` values, read
+        from the matrices (a copy: later chunks do not change it)."""
+        return core_counters(self.counts, self.times)
+
     def reset_counters(self) -> None:
         """Zero all event counters, keeping cache/link state (used to
         separate warm-up from the measurement window)."""
-        for c in self.counters:
-            c.reset()
+        self.counts.fill(0)
+        self.times.fill(0.0)
         self.arbiter.reset_counters()
 
     def flush_caches(self) -> None:
@@ -339,7 +349,7 @@ class FastSocket:
     def socket_counters(self, elapsed_ns: float) -> SocketCounters:
         """Aggregate snapshot over a window of ``elapsed_ns``."""
         return SocketCounters(
-            cores=[c.snapshot() for c in self.counters],
+            cores=self.counters,
             link_fill_bytes=self.arbiter.fill_bytes,
             link_writeback_bytes=self.arbiter.writeback_bytes,
             link_busy_ns=self.arbiter.busy_ns,

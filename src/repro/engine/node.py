@@ -54,7 +54,7 @@ from ..config import NodeConfig, SocketConfig
 from ..errors import SimulationError
 from ..mem.addrspace import AddressSpace
 from ..mem.bandwidth import BandwidthArbiter
-from ..mem.counters import SocketCounters
+from ..mem.counters import COLUMN, SocketCounters
 from .arraypath import make_socket_kernel
 from .results import NodeMeasureResult
 from .scheduler import CoreState, Scheduler, ScheduleOutcome
@@ -64,10 +64,11 @@ from .thread import SimThread, ThreadContext
 class NodeKernel:
     """Socket-kernel facade over ``n_sockets`` per-socket kernels.
 
-    Exposes the same ``run_chunk``/``counters``/``reset_counters``
-    contract the :class:`~repro.engine.scheduler.Scheduler` drives, with
-    node-global core ids; dispatches each chunk to the owning socket's
-    kernel and charges cross-socket costs on the way out.
+    Exposes the same ``run_chunk``/``reset_counters`` contract the
+    :class:`~repro.engine.scheduler.Scheduler` drives, with node-global
+    core ids; dispatches each chunk to the owning socket's kernel and
+    charges cross-socket costs on the way out, into that kernel's counter
+    rows for the core.
     """
 
     def __init__(
@@ -91,13 +92,6 @@ class NodeKernel:
             line_bytes=node.socket.line_bytes,
             bandwidth_Bps=node.link_bandwidth_Bps,
         )
-        #: Flat per-core counters in global order — the *same objects*
-        #: the per-socket kernels mutate, so either view is live.
-        self.counters = [
-            self.kernels[s].counters[c]
-            for s in range(node.n_sockets)
-            for c in range(self._cps)
-        ]
         #: Largest-remainder carry for the remote-fill attribution, one
         #: per global core (timing state, survives counter resets).
         self._remote_carry = [0.0] * self.n_cores
@@ -117,13 +111,14 @@ class NodeKernel:
         lines = np.asarray(chunk.lines, dtype=np.int64)
         homes = self.addrspace.homes_of_lines(lines)
         n_remote = int(np.count_nonzero(homes != s))
-        cnt = kern.counters[local]
-        fills_before = cnt.l3_misses + cnt.prefetch_fills
-        t = kern.run_chunk(local, chunk, now_ns)
         if n_remote == 0:
-            return t
-        cnt.remote_accesses += n_remote
-        fills = (cnt.l3_misses + cnt.prefetch_fills) - fills_before
+            return kern.run_chunk(local, chunk, now_ns)
+        col = COLUMN
+        counts = kern.counts[local]
+        fills_before = int(counts[col.l3_misses] + counts[col.prefetch_fills])
+        t = kern.run_chunk(local, chunk, now_ns)
+        counts[col.remote_accesses] += n_remote
+        fills = int(counts[col.l3_misses] + counts[col.prefetch_fills]) - fills_before
         if fills == 0:
             return t
         # Attribute this chunk's fills to remote homes by the chunk's
@@ -148,10 +143,11 @@ class NodeKernel:
             extra += self.xlink.request_fill(t)
             home_arb.request_fill(t, demand=False)
         t += extra
-        cnt.remote_fills += n_rf
-        cnt.remote_ns += extra
-        cnt.stall_ns += extra
-        cnt.elapsed_ns += extra
+        counts[col.remote_fills] += n_rf
+        times = kern.times[local]
+        times[col.remote_ns] += extra
+        times[col.stall_ns] += extra
+        times[col.elapsed_ns] += extra
         return t
 
     # -- scheduler contract ----------------------------------------------------
@@ -358,21 +354,19 @@ class NodeSimulator:
         and return the window's observations."""
         self.fast.reset_counters()
         outcome = self._run(accesses)
-        per_core = {
-            c.core_id: self.fast.counters[c.core_id].snapshot()
-            for c in self._threads
-        }
+        per_socket = self.fast.socket_counters(outcome.elapsed_ns)
+        cores = [c for sc in per_socket for c in sc.cores]
+        per_core = {c.core_id: cores[c.core_id] for c in self._threads}
         finish = {
             core: ns - outcome.start_ns for core, ns in outcome.main_finish_ns.items()
         }
-        per_socket = self.fast.socket_counters(outcome.elapsed_ns)
         # Aggregate bytes add up; aggregate busy time is the *mean* over
         # sockets so the node-level utilization reads "average DRAM-link
         # load" (n links can each be 100% busy — summing would trip the
         # over-unity accounting alarm on correct data). Per-link figures
         # are in per_socket.
         aggregate = SocketCounters(
-            cores=[c.snapshot() for c in self.fast.counters],
+            cores=cores,
             link_fill_bytes=sum(sc.link_fill_bytes for sc in per_socket),
             link_writeback_bytes=sum(sc.link_writeback_bytes for sc in per_socket),
             link_busy_ns=sum(sc.link_busy_ns for sc in per_socket)
@@ -382,7 +376,7 @@ class NodeSimulator:
         return NodeMeasureResult(
             elapsed_ns=outcome.elapsed_ns,
             makespan_ns=outcome.makespan_ns,
-            core_counters=per_core,  # type: ignore[arg-type]
+            core_counters=per_core,
             socket=aggregate,
             main_cores=self.main_cores,
             main_finish_ns=finish,

@@ -23,7 +23,10 @@ compiled step (the list kernel on hosts without a C compiler, and the
 multi-socket :class:`~repro.engine.node.NodeKernel`) run the
 bit-identical pure-Python :meth:`Scheduler._py_macro_step`.
 Python is re-entered only to refill a drained queue, so per-chunk
-scheduling overhead amortises over the block. The original
+scheduling overhead amortises over the block. Either step runs each
+chunk through the kernel's ``run_chunk``, which adds it to the kernel's
+counter matrices (:mod:`repro.mem.counters`) in place, so the
+scheduler keeps no counters of its own. The original
 chunk-at-a-time loop, which resumes each thread's ``chunks()``
 generator once per chunk, survives as the semantic reference,
 :func:`repro.bench.run_chunk_at_a_time`: all of them produce
@@ -55,13 +58,6 @@ if TYPE_CHECKING:  # avoid an import cycle with arraypath/socket_sim
 #: Chunks per ``sched_step`` call. Any value above n_slots * chunk_cap
 #: can never trip (some queue drains first); this is a pure backstop.
 _MAX_STEPS = 1 << 30
-
-#: CoreCounters fields mirrored by the C accumulators, in SCH layout order.
-_CNT_FIELDS = (
-    "accesses", "l1_hits", "l2_hits", "l3_hits", "prefetch_hits",
-    "l3_misses", "prefetch_fills", "writebacks", "compute_ops",
-)
-_FCNT_FIELDS = ("compute_ns", "offsocket_ns", "stall_ns", "elapsed_ns")
 
 
 @dataclass
@@ -130,8 +126,6 @@ class _MacroState:
         self.flags = np.zeros(n, dtype=np.int64)
         self.finish = np.zeros(n, dtype=np.float64)
         self.goal = np.full(n, -1, dtype=np.int64)
-        self.cnt = np.zeros((n, len(_CNT_FIELDS)), dtype=np.int64)
-        self.fcnt = np.zeros((n, len(_FCNT_FIELDS)), dtype=np.float64)
         self.max_total = 0
         self.total = 0
         self.active_mains = 0
@@ -227,13 +221,6 @@ class Scheduler:
         from .arraypath import bind_sched_step
 
         step = bind_sched_step(self.fast, st)
-        # The compiled step accumulates counters in SCH-side arrays (the
-        # per-chunk Python `+=` order replicated in C); seed them from
-        # the live CoreCounters so flushing back is a plain assignment
-        # that lands on bit-identical values. The Python macro-step goes
-        # through fast.run_chunk, which updates counters itself.
-        if step is not None:
-            self._seed_counters(st)
         try:
             with span(
                 "engine.schedule",
@@ -252,8 +239,6 @@ class Scheduler:
         finally:
             # Record whatever progress the window made, also after a
             # mid-window error.
-            if step is not None:
-                self._flush_counters(st)
             for i, cs in enumerate(self.cores):
                 cs.clock_ns = float(st.clock[i])
                 cs.accesses = int(st.accesses[i])
@@ -368,24 +353,6 @@ class Scheduler:
         if hasattr(self.fast, "ensure_line_capacity"):
             used = int(st.q.used_lines[slot])
             self.fast.ensure_line_capacity(st.q.lines[slot, :used])
-
-    def _seed_counters(self, st: _MacroState) -> None:
-        counters = self.fast.counters
-        for i, cs in enumerate(self.cores):
-            c = counters[cs.core_id]
-            for j, name in enumerate(_CNT_FIELDS):
-                st.cnt[i, j] = getattr(c, name)
-            for j, name in enumerate(_FCNT_FIELDS):
-                st.fcnt[i, j] = getattr(c, name)
-
-    def _flush_counters(self, st: _MacroState) -> None:
-        counters = self.fast.counters
-        for i, cs in enumerate(self.cores):
-            c = counters[cs.core_id]
-            for j, name in enumerate(_CNT_FIELDS):
-                setattr(c, name, int(st.cnt[i, j]))
-            for j, name in enumerate(_FCNT_FIELDS):
-                setattr(c, name, float(st.fcnt[i, j]))
 
     def reopen_mains(self) -> None:
         """Mark budget-stopped main threads runnable again for the next

@@ -128,17 +128,16 @@ class SocketSimulator:
         and return the window's observations."""
         self.fast.reset_counters()
         outcome = self._run(accesses)
-        per_core: Dict[int, object] = {
-            c.core_id: self.fast.counters[c.core_id].snapshot() for c in self._threads
-        }
+        socket = self.fast.socket_counters(outcome.elapsed_ns)
+        per_core = {c.core_id: socket.cores[c.core_id] for c in self._threads}
         finish = {
             core: ns - outcome.start_ns for core, ns in outcome.main_finish_ns.items()
         }
         return MeasureResult(
             elapsed_ns=outcome.elapsed_ns,
             makespan_ns=outcome.makespan_ns,
-            core_counters=per_core,  # type: ignore[arg-type]
-            socket=self.fast.socket_counters(outcome.elapsed_ns),
+            core_counters=per_core,
+            socket=socket,
             main_cores=self.main_cores,
             main_finish_ns=finish,
             line_bytes=self.socket.line_bytes,

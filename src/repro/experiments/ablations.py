@@ -271,8 +271,8 @@ def run_sampling_ablation(mode: str | None = None, seed: int = 0) -> ExperimentR
     """Set-sampling accuracy (fidelity tier 2, DESIGN.md).
 
     Miss-ratio estimates from 1/2^k of the L3's sets against the full
-    simulation, across probe distributions — the justification for using
-    set sampling on the paper's full 660-configuration grids.
+    simulation, across probe distributions: how much accuracy set
+    sampling would cost. No other experiment uses it.
     """
     m = common.resolve_mode(mode)
     socket = xeon20mb()

@@ -2,19 +2,33 @@
 
 These play the role of the hardware performance counters the paper reads
 (Section III-A): L3 miss counts for Eq. 1 bandwidth accounting, per-level
-hit/miss rates, and elapsed time. One :class:`CoreCounters` instance per
-simulated core, aggregated into a :class:`SocketCounters` snapshot.
+hit/miss rates, and elapsed time.
+
+A socket kernel keeps its cores' counters in two matrices with one row
+per core (:func:`counter_matrices`), which the compiled loop updates in
+place: an ``int64`` matrix of event counts, columns :data:`COUNT_FIELDS`,
+and a ``float64`` matrix of simulated times in ns, columns
+:data:`TIME_FIELDS`. The column order is defined here; Python writers
+index the matrices through :data:`COLUMN`, and the C adds of
+:mod:`repro.engine._ckernel` follow the same order. A window's values
+come out of the matrices once, as plain :class:`CoreCounters` values
+(:func:`core_counters`), which :class:`SocketCounters` aggregates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from types import SimpleNamespace
+from typing import List, Tuple
+
+import numpy as np
 
 
 @dataclass
 class CoreCounters:
-    """Event counts for one core since the last reset."""
+    """Event counts for one core since the last reset: the count fields
+    first and the time fields after them, each in column order, so one
+    row pair builds a value positionally."""
 
     accesses: int = 0
     l1_hits: int = 0
@@ -59,12 +73,6 @@ class CoreCounters:
         n = self.l3_accesses
         return self.l3_misses / n if n else 0.0
 
-    @property
-    def demand_fill_bytes(self) -> int:
-        """Bytes fetched from DRAM by demand misses (line-sized each);
-        multiplied out by the caller that knows the line size."""
-        return self.l3_misses
-
     def bandwidth_Bps(self, line_bytes: int) -> float:
         """Eq. 1: BW = line_size * #L3 misses / execution time.
 
@@ -81,21 +89,32 @@ class CoreCounters:
         """Fraction of accesses that touched remote-homed lines."""
         return self.remote_accesses / self.accesses if self.accesses else 0.0
 
-    def reset(self) -> None:
-        self.accesses = 0
-        self.l1_hits = self.l2_hits = self.l3_hits = 0
-        self.prefetch_hits = self.l3_misses = self.prefetch_fills = 0
-        self.writebacks = 0
-        self.compute_ops = 0
-        self.remote_accesses = self.remote_fills = 0
-        self.stall_ns = self.compute_ns = 0.0
-        self.remote_ns = 0.0
-        self.offsocket_ns = 0.0
-        self.elapsed_ns = 0.0
 
-    def snapshot(self) -> "CoreCounters":
-        """A frozen copy of the current values."""
-        return CoreCounters(**{k: getattr(self, k) for k in self.__dataclass_fields__})
+#: Columns of a kernel's ``int64`` count matrix, in order.
+COUNT_FIELDS = (
+    "accesses", "l1_hits", "l2_hits", "l3_hits", "prefetch_hits",
+    "l3_misses", "prefetch_fills", "writebacks", "compute_ops",
+    "remote_accesses", "remote_fills",
+)
+#: Columns of a kernel's ``float64`` time matrix (simulated ns), in order.
+TIME_FIELDS = ("stall_ns", "compute_ns", "remote_ns", "offsocket_ns", "elapsed_ns")
+#: Column index of every field in its matrix (``COLUMN.l3_misses``).
+COLUMN = SimpleNamespace(
+    **{name: j for names in (COUNT_FIELDS, TIME_FIELDS) for j, name in enumerate(names)}
+)
+
+
+def counter_matrices(n_cores: int) -> Tuple[np.ndarray, np.ndarray]:
+    """A kernel's zeroed count and time matrices, one row per core."""
+    return (np.zeros((n_cores, len(COUNT_FIELDS)), dtype=np.int64),
+            np.zeros((n_cores, len(TIME_FIELDS)), dtype=np.float64))
+
+
+def core_counters(counts: np.ndarray, times: np.ndarray) -> List[CoreCounters]:
+    """One :class:`CoreCounters` value per row of a kernel's count and
+    time matrices. ``tolist`` makes every field a Python ``int`` or
+    ``float``, so values compare, print and pickle like hand-built ones."""
+    return [CoreCounters(*c, *t) for c, t in zip(counts.tolist(), times.tolist())]
 
 
 @dataclass
@@ -129,6 +148,3 @@ class SocketCounters:
         if self.elapsed_ns <= 0:
             return 0.0
         return self.link_fill_bytes / (self.elapsed_ns * 1e-9)
-
-    def by_core(self) -> Dict[int, CoreCounters]:
-        return dict(enumerate(self.cores))

@@ -6,8 +6,9 @@ them — set indices are effectively hash-random for the workloads here,
 so the sampled sets see a statistically identical stream. This is the
 classic inexpensive-simulation result of Kessler et al. (1991) and is
 the library's tier-2 fidelity mode (DESIGN.md): it cannot produce
-timing (most accesses are simply skipped), but it turns the paper's
-full 660-configuration Fig. 5/6 grids from hours into minutes.
+timing (most accesses are simply skipped), only miss ratios, at a
+fraction of the simulation's cost. No figure uses it; the
+``ablation_sampling`` experiment measures its error.
 
 Usage::
 

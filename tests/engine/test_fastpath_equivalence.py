@@ -26,10 +26,11 @@ def fast_levels(fast: FastSocket, core: int, lines: list[int], is_write=False):
     """Run accesses one at a time and infer each access's hit level from
     counter deltas."""
     levels = []
-    c = fast.counters[core]
     for a in lines:
+        c = fast.counters[core]
         before = (c.l1_hits, c.l2_hits, c.l3_hits, c.l3_misses)
         fast.run_chunk(core, AccessChunk(lines=[a], is_write=is_write), 0.0)
+        c = fast.counters[core]
         after = (c.l1_hits, c.l2_hits, c.l3_hits, c.l3_misses)
         delta = tuple(b - a_ for b, a_ in zip(after, before))
         levels.append({(1, 0, 0, 0): L1, (0, 1, 0, 0): L2,

@@ -29,14 +29,13 @@ from repro.engine import AccessChunk, ArraySocket, FastSocket, make_socket_kerne
 from repro.engine import _ckernel, arraypath
 from repro.errors import ConfigError
 from repro.mem import DRAM, L1, L2, L3, SocketHierarchy
+from repro.mem.counters import COLUMN, COUNT_FIELDS, TIME_FIELDS
 from repro.units import GBps
 from repro.workloads import table_ii_distributions
 
-INT_COUNTERS = (
-    "accesses", "l1_hits", "l2_hits", "l3_hits", "prefetch_hits",
-    "l3_misses", "prefetch_fills", "writebacks", "compute_ops",
-)
-FLOAT_COUNTERS = ("compute_ns", "offsocket_ns", "stall_ns", "elapsed_ns")
+#: Count columns whose sum is every access: each lands at one level.
+LEVELS = [COLUMN.l1_hits, COLUMN.l2_hits, COLUMN.l3_hits,
+          COLUMN.prefetch_hits, COLUMN.l3_misses]
 
 needs_c = pytest.mark.skipif(not _ckernel.available(), reason="no C toolchain")
 
@@ -58,13 +57,16 @@ def drive(kernel, chunks, cores=None):
 
 
 def assert_same_counters(ref, other, n_cores):
-    """Every core counter and the arbiter's bytes and busy time, exactly."""
+    """Every core counter and the arbiter's bytes and busy time, exactly;
+    each counter read back is a plain Python ``int`` or ``float``."""
     for core in range(n_cores):
         a, b = ref.counters[core], other.counters[core]
-        for f in INT_COUNTERS:
+        for f in COUNT_FIELDS:
             assert getattr(a, f) == getattr(b, f), f"core {core} {f}"
-        for f in FLOAT_COUNTERS:
+            assert type(getattr(a, f)) is type(getattr(b, f)) is int, f
+        for f in TIME_FIELDS:
             assert bits(getattr(a, f)) == bits(getattr(b, f)), f"core {core} {f}"
+            assert type(getattr(a, f)) is type(getattr(b, f)) is float, f
     assert ref.arbiter.fill_bytes == other.arbiter.fill_bytes
     assert ref.arbiter.writeback_bytes == other.arbiter.writeback_bytes
     assert bits(ref.arbiter.busy_ns) == bits(other.arbiter.busy_ns)
@@ -209,7 +211,7 @@ def test_lru_state_carries_across_chunk_boundaries():
         ]
         assert_equivalent(fast, arr, drive(fast, chunks), drive(arr, chunks))
         c = fast.counters[0]
-        results.append(tuple(getattr(c, f) for f in INT_COUNTERS)
+        results.append(tuple(getattr(c, f) for f in COUNT_FIELDS)
                        + (fast.l3_resident_count(),))
     assert all(r == results[0] for r in results)
 
@@ -317,15 +319,24 @@ def test_random_programs_match_list_kernel(case):
         if track_owner:
             assert ref.l3_occupancy_by_owner() == arr.l3_occupancy_by_owner()
 
+    def assert_rows_bound():
+        # C holds the counter matrices' addresses: resets and flushes
+        # must zero them in place, never rebind them.
+        assert (arr._ks.counts, arr._ks.times) == (
+            arr.counts.ctypes.data, arr.times.ctypes.data
+        )
+
     for step in steps:
         if step == "flush":
             assert_same_l3()
             ref.flush_caches()
             arr.flush_caches()
+            assert_rows_bound()
         elif step == "reset":
             assert_same_counters(ref, arr, socket.n_cores)
             ref.reset_counters()
             arr.reset_counters()
+            assert_rows_bound()
         else:
             core, chunk = step
             t = ref.run_chunk(core, chunk, clock[core])
@@ -333,6 +344,10 @@ def test_random_programs_match_list_kernel(case):
             clock[core] = t
     assert_same_counters(ref, arr, socket.n_cores)
     assert_same_l3()
+    # Every access lands at exactly one level, on both kernels.
+    for kernel in (ref, arr):
+        counts = kernel.counts
+        assert (counts[:, LEVELS].sum(axis=1) == counts[:, COLUMN.accesses]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +368,12 @@ def test_array_kernel_hit_levels_match_object_hierarchy():
     ref_levels = [ref.access(0, a).level for a in trace]
 
     arr = ArraySocket(socket)
-    c = arr.counters[0]
     got = []
     for a in trace:
+        c = arr.counters[0]
         before = (c.l1_hits, c.l2_hits, c.l3_hits, c.l3_misses)
         arr.run_chunk(0, AccessChunk(lines=[a]), 0.0)
+        c = arr.counters[0]
         after = (c.l1_hits, c.l2_hits, c.l3_hits, c.l3_misses)
         delta = tuple(x - y for x, y in zip(after, before))
         got.append({(1, 0, 0, 0): L1, (0, 1, 0, 0): L2,

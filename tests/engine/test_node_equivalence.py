@@ -19,16 +19,11 @@ import pytest
 from repro.bench import run_chunk_at_a_time
 from repro.config import NodeConfig, tiny_socket
 from repro.engine import NodeSimulator, Scheduler, SocketSimulator, arraypath
+from repro.mem.counters import COUNT_FIELDS, TIME_FIELDS
 from repro.units import GiB
 from repro.workloads import BWThr, CSThr, HotColdProbe, StreamTriad, UniformDist
 from repro.workloads.synthetic import ProbabilisticBenchmark
 
-INT_COUNTERS = (
-    "accesses", "l1_hits", "l2_hits", "l3_hits", "prefetch_hits",
-    "l3_misses", "prefetch_fills", "writebacks", "compute_ops",
-    "remote_accesses", "remote_fills",
-)
-NS_COUNTERS = ("compute_ns", "stall_ns", "remote_ns", "elapsed_ns")
 
 #: Same triangle as test_sched_equivalence: chunk == macro-C == macro-py.
 #: ``chunk`` runs both simulators' windows through the chunk-at-a-time
@@ -73,8 +68,8 @@ def fingerprint(res):
         c = res.core_counters[core]
         rows.append(
             (core,)
-            + tuple(int(getattr(c, f)) for f in INT_COUNTERS)
-            + tuple(float(getattr(c, f)).hex() for f in NS_COUNTERS)
+            + tuple(int(getattr(c, f)) for f in COUNT_FIELDS)
+            + tuple(float(getattr(c, f)).hex() for f in TIME_FIELDS)
         )
     rows.append(
         tuple(sorted((k, float(v).hex()) for k, v in res.main_finish_ns.items()))

@@ -39,6 +39,7 @@ from repro.engine import (
 from repro.engine.thread import ThreadContext
 from repro.errors import SimulationError
 from repro.mem import AddressSpace
+from repro.mem.counters import COLUMN, COUNT_FIELDS, TIME_FIELDS
 from repro.workloads import (
     BWThr,
     BubbleProbe,
@@ -52,11 +53,9 @@ from repro.workloads.synthetic import ProbabilisticBenchmark
 
 from .gen_threads import FixedThread
 
-INT_COUNTERS = (
-    "accesses", "l1_hits", "l2_hits", "l3_hits", "prefetch_hits",
-    "l3_misses", "prefetch_fills", "writebacks", "compute_ops",
-)
-NS_COUNTERS = ("compute_ns", "offsocket_ns", "stall_ns", "elapsed_ns")
+#: Count columns whose sum is every access: each lands at one level.
+LEVELS = [COLUMN.l1_hits, COLUMN.l2_hits, COLUMN.l3_hits,
+          COLUMN.prefetch_hits, COLUMN.l3_misses]
 
 #: Window runners: the chunk-at-a-time reference, the macro scheduler,
 #: and the macro scheduler forced onto its pure-Python step even when
@@ -116,8 +115,8 @@ def fingerprint(sched, outcomes) -> Tuple:
         ))
     for cid, c in enumerate(sched.fast.counters):
         rows.append(
-            tuple(getattr(c, f) for f in INT_COUNTERS)
-            + tuple(float(getattr(c, f)).hex() for f in NS_COUNTERS)
+            tuple(getattr(c, f) for f in COUNT_FIELDS)
+            + tuple(float(getattr(c, f)).hex() for f in TIME_FIELDS)
         )
     return tuple(rows)
 
@@ -155,10 +154,15 @@ def app_workloads():
 
 
 def run_windows(run, sched, budgets):
-    outcomes = [run(sched, main_access_budget=budgets[0])]
-    for b in budgets[1:]:
-        sched.reopen_mains()
+    """One window per budget; after each, every core's hits at each
+    level plus its misses equal its accesses."""
+    outcomes = []
+    for i, b in enumerate(budgets):
+        if i:
+            sched.reopen_mains()
         outcomes.append(run(sched, main_access_budget=b))
+        counts = sched.fast.counts
+        assert (counts[:, LEVELS].sum(axis=1) == counts[:, COLUMN.accesses]).all()
     return outcomes
 
 

@@ -1,8 +1,13 @@
 """Performance-counter records."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.mem import CoreCounters, SocketCounters
+from repro.mem.counters import (
+    COLUMN, COUNT_FIELDS, TIME_FIELDS, core_counters, counter_matrices,
+)
 
 
 class TestCoreCounters:
@@ -23,17 +28,18 @@ class TestCoreCounters:
     def test_bandwidth_zero_without_time(self):
         assert CoreCounters(l3_misses=5).bandwidth_Bps(64) == 0.0
 
-    def test_reset_zeroes_everything(self):
-        c = CoreCounters(accesses=5, l1_hits=1, stall_ns=10.0, offsocket_ns=2.0)
-        c.reset()
-        assert c.accesses == 0 and c.l1_hits == 0
-        assert c.stall_ns == 0.0 and c.offsocket_ns == 0.0
-
-    def test_snapshot_is_independent_copy(self):
-        c = CoreCounters(accesses=5)
-        snap = c.snapshot()
-        c.accesses = 99
-        assert snap.accesses == 5
+    def test_values_from_matrix_rows(self):
+        """The matrix columns are the dataclass fields in order, so a row
+        pair builds a value positionally, with plain int/float fields."""
+        assert tuple(f.name for f in fields(CoreCounters)) == COUNT_FIELDS + TIME_FIELDS
+        counts, times = counter_matrices(2)
+        counts[1, COLUMN.l3_misses] = 7
+        times[1, COLUMN.remote_ns] = 2.5
+        idle, busy = core_counters(counts, times)
+        assert idle == CoreCounters()
+        assert busy == CoreCounters(l3_misses=7, remote_ns=2.5)
+        for f in fields(CoreCounters):
+            assert type(getattr(busy, f.name)) is (int if f.name in COUNT_FIELDS else float)
 
 
 class TestSocketCounters:
@@ -51,7 +57,3 @@ class TestSocketCounters:
         s = SocketCounters(link_busy_ns=500.0, elapsed_ns=1000.0)
         assert s.link_utilization() == pytest.approx(0.5)
         assert SocketCounters(elapsed_ns=0.0).link_utilization() == 0.0
-
-    def test_by_core_keys(self):
-        s = SocketCounters(cores=[CoreCounters(), CoreCounters()])
-        assert set(s.by_core()) == {0, 1}

@@ -353,7 +353,7 @@ class RankApp(SimThread):
             return buf.lines_of_indices(rng.integers(0, n, size=end - start))
         q = self.quantum
         whole, tail = divmod(end - start, q)
-        idx = dist.sample_block(rng, whole, q, n) if whole else np.empty(0, np.int64)
+        idx = dist.sample_block(rng, whole, q, n)
         if tail:
             idx = np.concatenate([idx, dist.sample(rng, tail, n)])
         return buf.lines_of_indices(idx)

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence
 from ..config import SocketConfig
 from ..engine import SocketSimulator
 from ..errors import MeasurementError
-from ..models import EHRModel
 from ..units import MiB
 from ..workloads import CSThr, ProbabilisticBenchmark, UniformDist, IndexDistribution
 
@@ -81,8 +80,7 @@ def measure_effective_capacity(
         sim.add_thread(CSThr(buffer_bytes=csthr_bytes, name=f"CSThr[{i}]"))
     sim.warmup(accesses=warmup_accesses)
     result = sim.measure(accesses=measure_accesses)
-    model = EHRModel(probe.line_pmf(), line_bytes=socket.line_bytes)
-    sim_bytes = model.effective_capacity_bytes(result.l3_miss_rate(core))
+    sim_bytes = probe.ehr_model().effective_capacity_bytes(result.l3_miss_rate(core))
     return socket.unscaled_bytes(int(sim_bytes))
 
 

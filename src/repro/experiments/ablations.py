@@ -32,7 +32,6 @@ from ..core import measure_bwthr_unit, measure_effective_capacity
 from ..engine import SocketSimulator
 from ..mem import SetAssociativeCache
 from ..mem import sampled_miss_rate
-from ..models import EHRModel
 from ..trace import ReuseProfile, record_trace
 from ..units import MiB, as_GBps
 from ..workloads import BWThr, CSThr, ProbabilisticBenchmark, table_ii_distributions
@@ -244,7 +243,7 @@ def run_model_vs_trace_ablation(mode: str | None = None, seed: int = 0) -> Exper
         probe = ProbabilisticBenchmark(dists[name], buffer_mb * MiB)
         trace = record_trace(probe, n_accesses, socket, seed=seed)
         profile = ReuseProfile.from_trace(trace.lines)
-        model = EHRModel(probe.line_pmf(), line_bytes=socket.line_bytes)
+        model = probe.ehr_model()
         per_frac = {}
         n_lines = probe.buffer.n_lines
         for frac in fracs:
@@ -335,7 +334,7 @@ def run_quantum_ablation(mode: str | None = None, seed: int = 0) -> ExperimentRe
             sim.add_thread(CSThr(quantum=quantum, name=f"CSThr[{i}]"))
         sim.warmup(accesses=warm)
         result = sim.measure(accesses=meas)
-        model = EHRModel(probe.line_pmf(), line_bytes=socket.line_bytes)
+        model = probe.ehr_model()
         cap = model.effective_capacity_bytes(result.l3_miss_rate(core))
         capacities[str(quantum)] = socket.unscaled_bytes(int(cap)) / MiB
     record = ExperimentRecord(

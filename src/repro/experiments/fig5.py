@@ -17,7 +17,6 @@ from typing import Dict, List
 
 from ..analysis import ExperimentRecord, band, band_chart
 from ..engine import SocketSimulator
-from ..models import EHRModel
 from ..workloads import ProbabilisticBenchmark, table_ii_distributions
 from . import common
 
@@ -43,8 +42,7 @@ def run_fig5(mode: str | None = None, seed: int = 0) -> ExperimentRecord:
             sim.warmup(accesses=env.warmup_accesses)
             result = sim.measure(accesses=env.measure_accesses)
             measured = result.l3_miss_rate(core)
-            model = EHRModel(probe.line_pmf(), line_bytes=env.socket.line_bytes)
-            predicted = 1.0 - min(1.0, l3_lines * model.s2)
+            predicted = 1.0 - min(1.0, l3_lines * probe.ehr_model().s2)
             err = abs(measured - predicted)
             errors.append(err)
             detail[name] = err

@@ -16,33 +16,26 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..analysis import ExperimentRecord, band
+from ..core.capacity import measure_effective_capacity
 from ..core.parallel import PointTask, cache_key, default_runner
-from ..engine import SocketSimulator
-from ..models import EHRModel
 from ..units import MiB
-from ..workloads import CSThr, ProbabilisticBenchmark, table_ii_distributions
+from ..workloads import table_ii_distributions
 from . import common
 
 
 def _panel_point(socket, dist_name, buffer_bytes, ops, k, seed,
                  warmup, measure) -> float:
     """One Fig. 6 panel point: effective capacity (unscaled MB) of a
-    probe with ``dist_name``/``buffer_bytes``/``ops`` under k CSThrs.
+    probe with ``dist_name``/``buffer_bytes``/``ops`` under k CSThrs of
+    4 MiB — one Section III-C3 measurement.
 
     Module-level so the process backend can pickle it.
     """
-    probe = ProbabilisticBenchmark(
-        table_ii_distributions()[dist_name], buffer_bytes, ops_per_access=ops,
-    )
-    sim = SocketSimulator(socket, seed=seed)
-    core = sim.add_thread(probe, main=True)
-    for i in range(k):
-        sim.add_thread(CSThr(name=f"CSThr[{i}]"))
-    sim.warmup(accesses=warmup)
-    result = sim.measure(accesses=measure)
-    model = EHRModel(probe.line_pmf(), line_bytes=socket.line_bytes)
-    cap_sim = model.effective_capacity_bytes(result.l3_miss_rate(core))
-    return socket.unscaled_bytes(int(cap_sim)) / MiB
+    return measure_effective_capacity(
+        socket, k, distribution=table_ii_distributions()[dist_name],
+        probe_buffer_bytes=buffer_bytes, ops_per_access=ops,
+        warmup_accesses=warmup, measure_accesses=measure, seed=seed,
+    ) / MiB
 
 
 def run_fig6(mode: str | None = None, seed: int = 0) -> ExperimentRecord:

@@ -57,6 +57,8 @@ class BubbleProbe(SimThread):
             raise ConfigError("bubble pressure must be in [0, 1]")
         if resident_bytes <= 0:
             raise ConfigError("resident_bytes must be positive")
+        if quantum <= 0:
+            raise ConfigError("quantum must be positive")
         self.pressure = pressure
         self.resident_bytes = resident_bytes
         self.quantum = quantum

@@ -60,6 +60,8 @@ class BWThr(SimThread):
     ):
         if buffer_bytes <= 0 or n_buffers <= 0:
             raise ValueError("BWThr buffers must be positive")
+        if quantum <= 0:
+            raise ValueError("quantum must be positive")
         self.buffer_bytes = buffer_bytes
         self.n_buffers = n_buffers
         self.overhead_ops = overhead_ops

@@ -38,6 +38,8 @@ class CSThr(SimThread):
     ):
         if buffer_bytes <= 0:
             raise ValueError("CSThr buffer must be positive")
+        if quantum <= 0:
+            raise ValueError("quantum must be positive")
         self.buffer_bytes = buffer_bytes
         self.overhead_ops = overhead_ops
         self.quantum = quantum

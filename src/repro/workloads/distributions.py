@@ -105,10 +105,35 @@ class IndexDistribution(ABC):
 
         Must consume the RNG exactly as ``count`` successive
         :meth:`sample` calls would — callers rely on that to stage many
-        chunks per call without perturbing any simulated result.
-        Distributions whose draw count per chunk is deterministic can
-        override this with a single batched draw.
+        chunks per call without perturbing any simulated result. An
+        empty block (``count <= 0``) is an empty ``int64`` array.
+
+        One raw draw of ``count`` rows of :meth:`sample`'s first-try
+        size serves the whole block: numpy's generators fill a large
+        request from the same bit stream as successive small ones, and
+        a chunk whose first try accepts ``size`` draws makes no second
+        one, so the first ``size`` accepted draws of each row are that
+        chunk. If any row falls short, that chunk would have drawn again
+        mid-stream: the RNG state saved before the draw is restored and
+        the chunks are sampled one by one.
         """
+        if n <= 0:
+            raise ModelError("buffer must have at least one element")
+        if count <= 0:
+            return np.empty(0, dtype=np.int64)
+        if count == 1:
+            return self.sample(rng, size, n)
+        if size > 0:  # sample() draws nothing for an empty chunk
+            per = int(size * 1.25) + 8
+            saved = rng.bit_generator.state
+            draws = self._raw_sample(rng, count * per).reshape(count, per)
+            ok = (draws >= 0.0) & (draws < 1.0)
+            rank = np.cumsum(ok, axis=1)
+            if rank[:, -1].min() >= size:
+                out = (draws[ok & (rank <= size)] * n).astype(np.int64)
+                np.minimum(out, n - 1, out=out)
+                return out
+            rng.bit_generator.state = saved
         return np.concatenate(
             [self.sample(rng, size, n) for _ in range(count)]
         )
@@ -246,12 +271,10 @@ class UniformDist(IndexDistribution):
     def sample_block(
         self, rng: np.random.Generator, count: int, size: int, n: int
     ) -> np.ndarray:
-        """One batched draw for ``count`` chunks: every per-chunk draw
-        is the same deterministic ``int(size*1.25)+8`` floats (no
-        rejection loop), and ``Generator.random`` fills a large request
-        from the same uninterrupted bit stream as successive small ones,
-        so slicing rows out of one draw is bit-identical to ``count``
-        :meth:`sample` calls."""
+        """One batched draw for ``count`` chunks, as in the base class
+        but without its acceptance mask: every row accepts all its
+        draws, so slicing the first ``size`` of each row is
+        bit-identical to ``count`` :meth:`sample` calls."""
         if n <= 0:
             raise ModelError("buffer must have at least one element")
         if count <= 0:

@@ -53,6 +53,8 @@ class HotColdProbe(SimThread):
             raise ConfigError("hot_bytes must be positive")
         if not 0.0 < hot_fraction <= 1.0:
             raise ConfigError("hot_fraction must be in (0, 1]")
+        if quantum <= 0:
+            raise ConfigError("quantum must be positive")
         self.hot_bytes = hot_bytes
         self.hot_fraction = hot_fraction
         self.ops_per_access = ops_per_access

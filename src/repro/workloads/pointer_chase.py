@@ -48,6 +48,8 @@ class PointerChase(SimThread):
     ):
         if buffer_bytes <= 0:
             raise ValueError("buffer_bytes must be positive")
+        if quantum <= 0:
+            raise ValueError("quantum must be positive")
         self.buffer_bytes = buffer_bytes
         self.n_accesses = n_accesses
         self.scale_with_machine = scale_with_machine

@@ -48,6 +48,8 @@ class StreamTriad(SimThread):
     ):
         if array_bytes <= 0:
             raise ValueError("array_bytes must be positive")
+        if quantum <= 0:
+            raise ValueError("quantum must be positive")
         self.array_bytes = array_bytes
         self.quantum = quantum
         self.name = name

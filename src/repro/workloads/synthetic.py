@@ -13,6 +13,7 @@ from typing import Iterator, Optional
 
 from ..engine.chunk import AccessChunk
 from ..engine.thread import SimThread, ThreadContext
+from ..models.ehr import EHRModel
 from .distributions import IndexDistribution
 
 #: The paper's benchmark buffers hold C ``int``s.
@@ -55,6 +56,8 @@ class ProbabilisticBenchmark(SimThread):
             raise ValueError("buffer_bytes must be positive")
         if ops_per_access < 0:
             raise ValueError("ops_per_access must be non-negative")
+        if quantum <= 0:
+            raise ValueError("quantum must be positive")
         self.distribution = distribution
         self.buffer_bytes = buffer_bytes
         self.ops_per_access = ops_per_access
@@ -87,6 +90,15 @@ class ProbabilisticBenchmark(SimThread):
         assert self.buffer is not None, "start() must run before line_pmf()"
         return self.distribution.line_pmf(self.buffer.n_elems, self.elems_per_line)
 
+    def ehr_model(self) -> EHRModel:
+        """Eq. 4 for this probe's buffer, without building the pmf when
+        this process has modelled the same distribution and buffer."""
+        assert self.buffer is not None, "start() must run before ehr_model()"
+        return EHRModel.for_distribution(
+            self.distribution, self.buffer.n_elems, self.elems_per_line,
+            line_bytes=1 << self.buffer.line_shift,
+        )
+
     def chunks(self) -> Iterator[AccessChunk]:
         assert self._ctx is not None and self.buffer is not None
         rng = self._ctx.rng
@@ -110,10 +122,11 @@ class ProbabilisticBenchmark(SimThread):
         Full-quantum chunks batch through
         :meth:`IndexDistribution.sample_block`, which is contractually
         RNG-stream-identical to per-chunk :meth:`~IndexDistribution.sample`
-        calls (distributions with deterministic draw counts vectorize it;
-        rejection-sampling ones fall back to a per-chunk loop inside).
-        Only a final partial chunk (finite ``n_accesses`` not a multiple
-        of the quantum) goes through the single-chunk path.
+        calls (one raw draw for the block; a rejection-sampling
+        distribution falls back to the per-chunk loop only when some
+        chunk would have drawn twice). Only a final partial chunk
+        (finite ``n_accesses`` not a multiple of the quantum) goes
+        through the single-chunk path.
         """
         assert self._ctx is not None and self.buffer is not None
         rng = self._ctx.rng

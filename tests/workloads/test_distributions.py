@@ -98,6 +98,76 @@ class TestValidation:
             UniformDist().line_pmf(0, 16)
 
 
+@pytest.mark.parametrize("dist", [NormalDist(6), UniformDist()],
+                         ids=lambda d: d.name)
+class TestEmptyBlock:
+    """``sample_block`` has one contract for every distribution: no
+    chunks is an empty ``int64`` array and no draw, an empty buffer is
+    an error whatever the count."""
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_no_chunks_is_an_empty_int64_array(self, dist, count):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        out = dist.sample_block(rng, count, 256, 1000)
+        assert out.dtype == np.int64 and out.shape == (0,)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("count", [0, 1, 4])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_buffer_rejected(self, dist, count, n):
+        with pytest.raises(ModelError):
+            dist.sample_block(np.random.default_rng(0), count, 256, n)
+
+
+#: Every distribution whose ``sample_block`` batches raw draws, plus two
+#: Normals whose rows often accept fewer than ``size`` draws (about 20%
+#: and 68% of draws land in the buffer), so both the batch and its
+#: per-chunk fallback run.
+BLOCK_DISTS = ALL + [ZipfDist(1.0), NormalDist(0.5), NormalDist(2)]
+
+
+def _chunk_by_chunk(dist, seed, count, size, n):
+    rng = np.random.default_rng(seed)
+    chunks = [dist.sample(rng, size, n) for _ in range(count)]
+    out = np.concatenate(chunks) if chunks else np.empty(0, np.int64)
+    return out, rng.bit_generator.state
+
+
+def _assert_block_is_chunk_by_chunk(dist, seed, count, size, n):
+    rng = np.random.default_rng(seed)
+    got = dist.sample_block(rng, count, size, n)
+    want, state = _chunk_by_chunk(dist, seed, count, size, n)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert rng.bit_generator.state == state
+
+
+@given(dist=st.sampled_from(BLOCK_DISTS), count=st.integers(0, 70),
+       size=st.integers(1, 300), n=st.integers(1, 1 << 24),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_property_sample_block_is_chunk_by_chunk(dist, count, size, n, seed):
+    _assert_block_is_chunk_by_chunk(dist, seed, count, size, n)
+
+
+@pytest.mark.parametrize("dist,count,size", [(NormalDist(0.5), 3, 1),
+                                              (NormalDist(2), 8, 16)],
+                         ids=["Norm_0.5", "Norm_2"])
+def test_sample_block_falls_back_when_a_row_falls_short(dist, count, size):
+    """Over these seeds some blocks accept ``size`` draws in every row
+    and some have a row short by exactly one; the short ones must
+    restore the RNG and sample chunk by chunk."""
+    per = int(size * 1.25) + 8
+    fewest = set()
+    for seed in range(60):
+        raw = dist._raw_sample(np.random.default_rng(seed), count * per)
+        accepted = ((raw >= 0.0) & (raw < 1.0)).reshape(count, per).sum(axis=1)
+        fewest.add(min(int(accepted.min()), size) - size)
+        _assert_block_is_chunk_by_chunk(dist, seed, count, size, 5000)
+    assert {0, -1} <= fewest
+
+
 @given(
     k=st.sampled_from([4.0, 6.0, 8.0]),
     n=st.integers(min_value=64, max_value=4096),

@@ -27,6 +27,7 @@ from repro.cluster import CommModel, NoiseModel, ProcessMapping
 from repro.config import NetworkConfig, xeon20mb, xeon20mb_cluster
 from repro.engine.blockq import BlockQueues, QueueWriter
 from repro.engine.thread import SimThread, ThreadContext
+from repro.errors import ConfigError
 from repro.mem import AddressSpace
 from repro.units import KiB, MiB
 from repro.workloads import (
@@ -94,6 +95,10 @@ def app_cases(make: Callable[..., SimThread], n_ranks: int) -> List[Callable]:
 #: Thread factories per class. ``n_accesses`` values are deliberately not
 #: multiples of the quantum, and the MCB census gives its cross-section
 #: phase (a rejection-sampled distribution) whole chunks plus a tail.
+#: No Table II distribution ever leaves a batched ``sample_block`` row
+#: short, so two wide Normals force its per-chunk fallback: Norm_0.5
+#: keeps about 20% of its draws (every block falls back), Norm_2 about
+#: 68% (at quantum 16 some blocks batch and some fall back).
 CASES: Dict[type, List[Callable[[], SimThread]]] = {
     BubbleProbe: [lambda: BubbleProbe(0.75), lambda: BubbleProbe(0.0)],
     BWThr: [lambda: BWThr(n_buffers=3)],
@@ -111,6 +116,10 @@ CASES: Dict[type, List[Callable[[], SimThread]]] = {
         lambda: ProbabilisticBenchmark(UniformDist(), 1 * MiB),
         lambda: ProbabilisticBenchmark(NormalDist(4), 1 * MiB, n_accesses=5_000),
         lambda: ProbabilisticBenchmark(ExponentialDist(8), 1 * MiB, n_accesses=3_000),
+        lambda: ProbabilisticBenchmark(NormalDist(0.5), 1 * MiB),
+        lambda: ProbabilisticBenchmark(
+            NormalDist(2), 1 * MiB, n_accesses=2_000, quantum=16
+        ),
     ],
     StreamTriad: [lambda: StreamTriad(array_bytes=4 * MiB)],
     MCBProxy: app_cases(lambda **kw: MCBProxy(n_particles=100_000, **kw), 24),
@@ -209,3 +218,30 @@ def test_fill_block_stages_the_chunks_stream(cls, seed, chunk_cap):
 def test_every_case_names_a_discovered_thread():
     """A stale entry would silently check nothing."""
     assert set(CASES) == set(concrete_threads())
+
+
+#: Every workload that takes a chunk length, and the error type its
+#: other constructor checks raise.
+QUANTUM_TAKERS = {
+    BubbleProbe: (lambda q: BubbleProbe(0.5, quantum=q), ConfigError),
+    BWThr: (lambda q: BWThr(quantum=q), ValueError),
+    CSThr: (lambda q: CSThr(quantum=q), ValueError),
+    HotColdProbe: (lambda q: HotColdProbe(512 * KiB, quantum=q), ConfigError),
+    PointerChase: (lambda q: PointerChase(64 * KiB, quantum=q), ValueError),
+    ProbabilisticBenchmark: (
+        lambda q: ProbabilisticBenchmark(UniformDist(), 1 * MiB, quantum=q),
+        ValueError,
+    ),
+    StreamTriad: (lambda q: StreamTriad(quantum=q), ValueError),
+}
+
+
+@pytest.mark.parametrize("quantum", [0, -1])
+@pytest.mark.parametrize("cls", list(QUANTUM_TAKERS), ids=lambda c: c.__name__)
+def test_quantum_must_be_positive(cls, quantum):
+    """A chunk length below one is refused at construction, not by a
+    ``ZeroDivisionError`` or a queue error at the first refill."""
+    make, error = QUANTUM_TAKERS[cls]
+    with pytest.raises(error, match="quantum must be positive"):
+        make(quantum)
+    assert make(1).quantum == 1

@@ -5,7 +5,6 @@ import pytest
 
 from repro.engine import SocketSimulator, ThreadContext
 from repro.mem import AddressSpace
-from repro.models import EHRModel
 from repro.units import KiB, MiB
 from repro.workloads import ProbabilisticBenchmark, UniformDist, NormalDist
 
@@ -62,7 +61,7 @@ class TestEndToEnd:
         core = sim.add_thread(probe, main=True)
         sim.warmup(accesses=50_000)
         r = sim.measure(accesses=30_000)
-        model = EHRModel(probe.line_pmf(), line_bytes=xeon.line_bytes)
+        model = probe.ehr_model()
         predicted = 1.0 - min(1.0, xeon.l3.n_lines * model.s2)
         assert r.l3_miss_rate(core) == pytest.approx(predicted, abs=0.05)
 

@@ -5,7 +5,9 @@ state in flat, C-contiguous buffers: int64 tag arrays per cache level
 with int32 recency lists beside them, an int32 L3 line index, a uint8
 dirty bitmap indexed by line address, float64 arrival slots for
 prefetch-staged lines, and small register blocks for the bandwidth
-arbiter and the per-core stride prefetchers. That layout is deliberately
+arbiters (``ARB``: each socket's DRAM link and the node's inter-socket
+link, all served by one ``arb_fill``) and the per-core stride
+prefetchers. That layout is deliberately
 a stable ABI: this module compiles (at first use, with the system C
 compiler, via stdlib ``ctypes`` — no third-party build dependency) a
 small shared object whose ``run_chunk`` walks the same buffers natively
@@ -26,9 +28,18 @@ mirror the Python operand order and the library is built with
 ``-ffp-contract=off``, so chunk finish times, time counters and arbiter
 state are bit-identical to the list kernel, not merely close.
 
+``sched_step`` is the macro-stepped scheduler's min-clock loop. It
+dispatches every chunk through ``node_chunk``, the C form of
+:meth:`repro.engine.node.NodeKernel.run_chunk`: a lone socket is a
+1-socket node whose chunks pass straight to ``run_chunk``, and on a
+multi-socket node it also counts each chunk's remote lines from the
+page-home table and charges the remote fills to the inter-socket link
+and the home socket's DRAM link.
+
 ``lru_sampled``, the batch loop of :class:`repro.mem.tagstore.TagStore`
 (the set-sampled L3), keeps the older layout: monotonic age counters per
-slot, the victim being the set's min-age slot.
+slot, the victim being the set's min-age slot. ``reuse_distances`` is
+the Fenwick-tree loop of :mod:`repro.trace.stack_distance`.
 
 If no compiler is available (or ``REPRO_NO_CKERNEL=1``), ``load()``
 returns ``None`` and simulators fall back to the list kernel
@@ -61,6 +72,23 @@ typedef unsigned char u8;
 
 #define EMPTY_TAG INT64_MIN
 
+/* A bandwidth arbiter (repro.mem.bandwidth): its register blocks and
+ * parameters. Every socket's DRAM link and the node's inter-socket link
+ * is one of these, served by the same arb_fill and arb_wb. All members
+ * are 8 bytes wide, like KS. */
+typedef struct {
+    /* [0]=hwm [1]=window_start [2]=rho [3]=rho_smooth
+     * [4]=delay [5]=knee [6]=busy_ns */
+    double *regs;
+    /* [0]=window_count [1]=window_demand
+     * [2]=fill_bytes [3]=writeback_bytes */
+    i64 *iregs;
+    double service_ns;
+    i64 window_fills;
+    double min_window_span; double damping; double max_delay_services;
+    i64 line_bytes; i64 throttle_wb;
+} ARB;
+
 /* All members are 8 bytes wide so the layout has no padding and the
  * ctypes mirror cannot drift. Each cache level keeps, beside its tags, a
  * doubly linked recency list per set: prev/next per slot (-1 ends a
@@ -76,12 +104,7 @@ typedef struct {
     double *arrival3;            /* per L3 slot; < 0 means none pending */
     u8  *dirty;                  /* by line address */
     i64 *iregs;                  /* [0] = pending staged lines */
-    /* arbiter: [0]=hwm [1]=window_start [2]=rho [3]=rho_smooth
-     *          [4]=delay [5]=knee [6]=busy_ns */
-    double *aregs;
-    /* arbiter ints: [0]=window_count [1]=window_demand
-     *               [2]=fill_bytes [3]=writeback_bytes */
-    i64 *airegs;
+    ARB *arb;                    /* the socket's DRAM link */
     /* prefetcher state, per-core blocks of nstreams entries */
     i64 *pf_sid; i64 *pf_last; i64 *pf_stride; i64 *pf_streak;
     i64 *pf_expected; i64 *pf_order;
@@ -99,11 +122,6 @@ typedef struct {
     i64 dirty_cap;
     /* timing */
     double l1_ns; double l2_ns; double l3_ns; double pf_ns;
-    double service_ns;
-    /* arbiter parameters */
-    i64 window_fills;
-    double min_window_span; double damping; double max_delay_services;
-    i64 line_bytes; i64 throttle_wb;
     /* prefetcher parameters */
     i64 pf_enabled; i64 pf_degree; i64 pf_detect_after; i64 pf_nstreams;
 } KS;
@@ -165,43 +183,45 @@ static void l3_erase(KS *k, i32 slot)
     idx[i] = -1;
 }
 
-static double arb_fill(KS *k, double now, int demand)
+static double arb_fill(ARB *a, double now, int demand)
 {
-    if (now > k->aregs[0]) k->aregs[0] = now;
-    k->airegs[0] += 1;
-    if (demand) k->airegs[1] += 1;
-    double span = k->aregs[0] - k->aregs[1];
-    if (k->airegs[0] >= k->window_fills && span >= k->min_window_span) {
-        double n = (double)k->airegs[0];
-        k->aregs[2] = n * k->service_ns / span;
-        double deficit = n * k->service_ns - span;
-        i64 wd = k->airegs[1]; if (wd < 1) wd = 1;
+    double *r = a->regs;
+    i64 *ri = a->iregs;
+    if (now > r[0]) r[0] = now;
+    ri[0] += 1;
+    if (demand) ri[1] += 1;
+    double span = r[0] - r[1];
+    if (ri[0] >= a->window_fills && span >= a->min_window_span) {
+        double n = (double)ri[0];
+        r[2] = n * a->service_ns / span;
+        double deficit = n * a->service_ns - span;
+        i64 wd = ri[1]; if (wd < 1) wd = 1;
         double correction = deficit / (double)wd;
-        double delay = k->aregs[4] + k->damping * correction;
-        double max_delay = k->max_delay_services * k->service_ns;
+        double delay = r[4] + a->damping * correction;
+        double max_delay = a->max_delay_services * a->service_ns;
         if (delay < 0.0) delay = 0.0;
         if (delay > max_delay) delay = max_delay;
-        k->aregs[4] = delay;
-        k->aregs[3] += 0.3 * (k->aregs[2] - k->aregs[3]);
-        double rho_k = k->aregs[3] < 0.97 ? k->aregs[3] : 0.97;
-        double target = k->service_ns * rho_k * rho_k / (1.0 - rho_k);
-        k->aregs[5] += 0.25 * (target - k->aregs[5]);
-        k->aregs[1] = k->aregs[0];
-        k->airegs[0] = 0;
-        k->airegs[1] = 0;
+        r[4] = delay;
+        r[3] += 0.3 * (r[2] - r[3]);
+        double rho_k = r[3] < 0.97 ? r[3] : 0.97;
+        double target = a->service_ns * rho_k * rho_k / (1.0 - rho_k);
+        r[5] += 0.25 * (target - r[5]);
+        r[1] = r[0];
+        ri[0] = 0;
+        ri[1] = 0;
     }
-    k->aregs[6] += k->service_ns;
-    k->airegs[2] += k->line_bytes;
-    return k->aregs[4] + k->aregs[5];
+    r[6] += a->service_ns;
+    ri[2] += a->line_bytes;
+    return r[4] + r[5];
 }
 
-static void arb_wb(KS *k, double now)
+static void arb_wb(ARB *a, double now)
 {
-    k->airegs[3] += k->line_bytes;
-    if (k->throttle_wb) {
-        if (now > k->aregs[0]) k->aregs[0] = now;
-        k->airegs[0] += 1;
-        k->aregs[6] += k->service_ns;
+    a->iregs[3] += a->line_bytes;
+    if (a->throttle_wb) {
+        if (now > a->regs[0]) a->regs[0] = now;
+        a->iregs[0] += 1;
+        a->regs[6] += a->service_ns;
     }
 }
 
@@ -275,7 +295,7 @@ static i32 l3_fill(KS *k, LRU r3, i64 set, i64 line, double t, i64 *nwb)
         if (k->arrival3[vs] >= 0.0) { k->arrival3[vs] = -1.0; k->iregs[0] -= 1; }
         if (victim >= 0 && victim < k->dirty_cap && k->dirty[victim]) {
             k->dirty[victim] = 0;
-            arb_wb(k, t);
+            arb_wb(k->arb, t);
             *nwb += 1;
         }
         l3_erase(k, vs);
@@ -312,7 +332,7 @@ double chunk_loop(KS *k, i64 core, const i64 *lines, i64 n,
     double *arr3 = k->arrival3;
     u8 *dirty = k->dirty;
     double l1_ns = k->l1_ns, l2_ns = k->l2_ns, l3_ns = k->l3_ns;
-    double pf_ns = k->pf_ns, service_ns = k->service_ns;
+    double pf_ns = k->pf_ns, service_ns = k->arb->service_ns;
     i64 *npend = &k->iregs[0];
     i64 n1 = 0, n2 = 0, n3 = 0, npf = 0, nmiss = 0, npfill = 0, nwb = 0;
     int w = (int)is_write;
@@ -382,7 +402,7 @@ double chunk_loop(KS *k, i64 core, const i64 *lines, i64 n,
             } else {
                 /* demand miss: stall for DRAM + link queueing */
                 nmiss += 1;
-                t += dram_ns + arb_fill(k, t, 1);
+                t += dram_ns + arb_fill(k->arb, t, 1);
                 i32 vs = l3_fill(k, r3, s3, a, t, &nwb);
                 arr3[vs] = -1.0;
                 if (owner3) owner3[vs] = core;
@@ -395,7 +415,7 @@ double chunk_loop(KS *k, i64 core, const i64 *lines, i64 n,
                 for (i64 q = 1; q <= cnt; q++) {
                     i64 p = a + stride * q;
                     if (l3_find(k, p) < 0) {
-                        double delay = arb_fill(k, t, 0);
+                        double delay = arb_fill(k->arb, t, 0);
                         kf += 1;
                         npfill += 1;
                         i32 vs = l3_fill(k, r3, p & m3, p, t, &nwb);
@@ -458,6 +478,86 @@ double run_chunk(KS *k, i64 core, const i64 *lines, i64 n,
     return t;
 }
 
+/* The node (repro.engine.node.NodeKernel, DESIGN decision 12): socket
+ * kernels joined by the inter-socket link. A lone socket is a 1-socket
+ * node, whose chunks pass straight to run_chunk. Node-global core ids
+ * are socket-major. All members are 8 bytes wide, like KS. */
+typedef struct {
+    KS **ks;             /* [n_sockets] socket kernels */
+    ARB *xlink;          /* inter-socket link; NULL on a 1-socket node */
+    i64 *page_home;      /* page -> home socket; < 0 never allocated */
+    i64 n_pages;         /* entries in page_home */
+    i64 page_line_shift; /* page of a line = line >> page_line_shift */
+    double *carry;       /* [n_cores] remote-fill largest-remainder carry */
+    i64 *by_home;        /* [n_sockets] scratch: a chunk's lines per home */
+    i64 n_sockets; i64 cores_per_socket;
+    double remote_penalty_ns;
+} NK;
+
+/* Home socket of a line: AddressSpace.home_of_line (0 for a page that
+ * was never allocated or lies beyond the table). */
+static inline i64 line_home(const NK *nk, i64 line)
+{
+    i64 page = line >> nk->page_line_shift;
+    if (page < 0 || page >= nk->n_pages) return 0;
+    i64 h = nk->page_home[page];
+    return h >= 0 ? h : 0;
+}
+
+/* Run a chunk on node-global `core`: NodeKernel.run_chunk line for line.
+ * The chunk runs on its socket's kernel; when some of its lines are
+ * homed on other sockets, its fills are attributed to them by the
+ * remote-line fraction with a per-core carry, and each remote fill
+ * crosses the xlink (demand) and loads the dominant home's DRAM link
+ * (non-demand), both at the chunk's finish time. */
+static double node_chunk(NK *nk, i64 core, const i64 *lines, i64 n,
+                         i64 is_write, i64 pf_on, i64 sid, i64 ops,
+                         double ops_ns, double dram_ns, double now,
+                         double extra)
+{
+    if (nk->n_sockets == 1)
+        return run_chunk(nk->ks[0], core, lines, n, is_write, pf_on, sid,
+                         ops, ops_ns, dram_ns, now, extra);
+    i64 ns = nk->n_sockets, s = core / nk->cores_per_socket;
+    i64 local = core - s * nk->cores_per_socket;
+    KS *k = nk->ks[s];
+    i64 *by_home = nk->by_home;
+    for (i64 h = 0; h < ns; h++) by_home[h] = 0;
+    for (i64 i = 0; i < n; i++) by_home[line_home(nk, lines[i])] += 1;
+    i64 n_remote = n - by_home[s];
+    if (n_remote == 0)
+        return run_chunk(k, local, lines, n, is_write, pf_on, sid,
+                         ops, ops_ns, dram_ns, now, extra);
+    i64 *c = k->counts + local * k->counts_stride;
+    i64 fills_before = c[5] + c[6];     /* l3_misses + prefetch_fills */
+    double t = run_chunk(k, local, lines, n, is_write, pf_on, sid,
+                         ops, ops_ns, dram_ns, now, extra);
+    c[9] += n_remote;                   /* remote_accesses */
+    i64 fills = c[5] + c[6] - fills_before;
+    if (fills == 0) return t;
+    double x = (double)fills * ((double)n_remote / (double)n) + nk->carry[core];
+    i64 n_rf = (i64)x;
+    nk->carry[core] = x - (double)n_rf;
+    if (n_rf == 0) return t;
+    /* the dominant home: the first socket with the most remote lines */
+    i64 home = -1;
+    for (i64 h = 0; h < ns; h++)
+        if (h != s && (home < 0 || by_home[h] > by_home[home])) home = h;
+    ARB *home_arb = nk->ks[home]->arb;
+    double xtra = (double)n_rf * nk->remote_penalty_ns;
+    for (i64 i = 0; i < n_rf; i++) {
+        xtra += arb_fill(nk->xlink, t, 1);
+        arb_fill(home_arb, t, 0);
+    }
+    t += xtra;
+    c[10] += n_rf;                      /* remote_fills */
+    double *f = k->times + local * k->times_stride;
+    f[2] += xtra;                       /* remote_ns */
+    f[0] += xtra;                       /* stall_ns */
+    f[4] += xtra;                       /* elapsed_ns */
+    return t;
+}
+
 /* Macro-stepped multicore scheduler state (see repro.engine.blockq for
  * the queue layout and repro.engine.scheduler for the contract). All
  * members are 8 bytes wide, like KS, so the ctypes mirror cannot drift.
@@ -488,7 +588,7 @@ typedef struct {
 /* Min-clock interleave over the queued blocks: repeatedly select the
  * least-advanced non-done slot (strict <, first slot wins ties — the
  * exact tie-break of the Python chunk loop) and execute its next queued
- * chunk via run_chunk, which adds it to the core's counter rows in
+ * chunk via node_chunk, which adds it to the core's counter rows in
  * place, exactly as a chunk dispatched from Python does.
  *
  * Returns: 0 = window complete (no active mains left)
@@ -497,7 +597,7 @@ typedef struct {
  *          2 = dispatching the selected slot's next chunk would cross
  *              max_total (event = slot; caller raises)
  *          3 = max_steps chunks consumed (caller just re-enters)      */
-i64 sched_step(KS *k, SCH *s, i64 max_steps)
+i64 sched_step(NK *nk, SCH *s, i64 max_steps)
 {
     i64 n = s->n, cc = s->chunk_cap, lc = s->line_cap;
     i64 steps = 0;
@@ -529,7 +629,7 @@ i64 sched_step(KS *k, SCH *s, i64 max_steps)
         if (s->total + len > s->max_total) { s->event = best; return 2; }
         double ops_ns = (double)s->qops[c] * s->ns_per_op;
         double dram = s->qser[c] ? s->dram_serial_ns : s->dram_mlp_ns;
-        double t = run_chunk(k, s->core_ids[best],
+        double t = node_chunk(nk, s->core_ids[best],
                              s->qlines + best * lc + s->qoff[c], len,
                              s->qwrite[c], s->qpf[c], s->qsid[c], s->qops[c],
                              ops_ns, dram, s->clock[best], s->qextra[c]);
@@ -576,7 +676,47 @@ i64 lru_sampled(i64 *tags, i64 *ages, i64 *agec, i64 ways,
     }
     return hits;
 }
+
+/* LRU reuse distances (repro.trace.stack_distance) over dense line ids:
+ * out[t] is the number of distinct ids touched strictly between access
+ * t and the previous access to its id, or -1 (COLD) for a first touch.
+ * last[id] holds each id's latest access (-1 before any), and tree is a
+ * zeroed Fenwick tree of n + 1 entries marking each id's latest access. */
+void reuse_distances(const i64 *ids, i64 n, i64 *last, i64 *tree, i64 *out)
+{
+    for (i64 t = 0; t < n; t++) {
+        i64 a = ids[t], p = last[a];
+        if (p < 0) {
+            out[t] = -1;
+        } else {
+            /* live markers in (p, t): prefix(t - 1) - prefix(p) */
+            i64 d = 0;
+            for (i64 i = t; i > 0; i -= i & -i) d += tree[i];
+            for (i64 i = p + 1; i > 0; i -= i & -i) d -= tree[i];
+            out[t] = d;
+            for (i64 i = p + 1; i <= n; i += i & -i) tree[i] -= 1;
+        }
+        for (i64 i = t + 1; i <= n; i += i & -i) tree[i] += 1;
+        last[a] = t;
+    }
+}
 """
+
+
+class ARBStruct(ctypes.Structure):
+    """ctypes mirror of the C ``ARB`` struct (all members 8 bytes)."""
+
+    _fields_ = [
+        ("regs", ctypes.c_void_p),
+        ("iregs", ctypes.c_void_p),
+        ("service_ns", ctypes.c_double),
+        ("window_fills", i64),
+        ("min_window_span", ctypes.c_double),
+        ("damping", ctypes.c_double),
+        ("max_delay_services", ctypes.c_double),
+        ("line_bytes", i64),
+        ("throttle_wb", i64),
+    ]
 
 
 class KStruct(ctypes.Structure):
@@ -597,8 +737,7 @@ class KStruct(ctypes.Structure):
         ("arrival3", ctypes.c_void_p),
         ("dirty", ctypes.c_void_p),
         ("iregs", ctypes.c_void_p),
-        ("aregs", ctypes.c_void_p),
-        ("airegs", ctypes.c_void_p),
+        ("arb", ctypes.c_void_p),
         ("pf_sid", ctypes.c_void_p), ("pf_last", ctypes.c_void_p),
         ("pf_stride", ctypes.c_void_p), ("pf_streak", ctypes.c_void_p),
         ("pf_expected", ctypes.c_void_p), ("pf_order", ctypes.c_void_p),
@@ -612,14 +751,25 @@ class KStruct(ctypes.Structure):
         ("dirty_cap", i64),
         ("l1_ns", ctypes.c_double), ("l2_ns", ctypes.c_double),
         ("l3_ns", ctypes.c_double), ("pf_ns", ctypes.c_double),
-        ("service_ns", ctypes.c_double),
-        ("window_fills", i64),
-        ("min_window_span", ctypes.c_double),
-        ("damping", ctypes.c_double),
-        ("max_delay_services", ctypes.c_double),
-        ("line_bytes", i64), ("throttle_wb", i64),
         ("pf_enabled", i64), ("pf_degree", i64),
         ("pf_detect_after", i64), ("pf_nstreams", i64),
+    ]
+
+
+class NKStruct(ctypes.Structure):
+    """ctypes mirror of the C ``NK`` struct (all members 8 bytes)."""
+
+    _fields_ = [
+        ("ks", ctypes.c_void_p),
+        ("xlink", ctypes.c_void_p),
+        ("page_home", ctypes.c_void_p),
+        ("n_pages", i64),
+        ("page_line_shift", i64),
+        ("carry", ctypes.c_void_p),
+        ("by_home", ctypes.c_void_p),
+        ("n_sockets", i64),
+        ("cores_per_socket", i64),
+        ("remote_penalty_ns", ctypes.c_double),
     ]
 
 
@@ -751,12 +901,16 @@ def load() -> Optional[ctypes.CDLL]:
     ]
     lib.sched_step.restype = i64
     lib.sched_step.argtypes = [
-        ctypes.POINTER(KStruct), ctypes.POINTER(SCHStruct), i64,
+        ctypes.POINTER(NKStruct), ctypes.POINTER(SCHStruct), i64,
     ]
     lib.lru_sampled.restype = i64
     lib.lru_sampled.argtypes = [
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, i64,
         i64, i64, ctypes.c_void_p, i64,
+    ]
+    lib.reuse_distances.restype = None
+    lib.reuse_distances.argtypes = [
+        ctypes.c_void_p, i64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
     ]
     _LOADED = lib
     return lib

@@ -71,21 +71,22 @@ EMPTY_TAG = _ckernel.EMPTY_TAG
 #: Initial dirty-bitmap capacity (line addresses); doubled on demand.
 _DIRTY_CAP0 = 1 << 16
 
-# aregs slots (float64)
+# Arbiter register slots: regs (float64) and iregs (int64), as in C's ARB.
 _A_HWM, _A_WSTART, _A_RHO, _A_RHO_S, _A_DELAY, _A_KNEE, _A_BUSY = range(7)
-# airegs slots (int64)
 _AI_WCOUNT, _AI_WDEMAND, _AI_FILL_B, _AI_WB_B = range(4)
 
 
 class _ArbiterView:
-    """:class:`~repro.mem.bandwidth.BandwidthArbiter` API over the array
-    kernel's shared register blocks.
+    """:class:`~repro.mem.bandwidth.BandwidthArbiter` API over a register
+    block the compiled loop shares.
 
-    The controller state lives in ``aregs``/``airegs`` so the compiled
-    loop and this view always agree; :meth:`request_fill` is an exact
-    transliteration of ``BandwidthArbiter.request_fill`` (the C loop
-    runs the same expressions natively; the node kernel charges
-    home-socket fills through this view).
+    The controller state lives in two small arrays that :attr:`struct`
+    (the C ``ARB`` block) points at, so the compiled loop and this view
+    always agree; :meth:`request_fill` is an exact transliteration of
+    ``BandwidthArbiter.request_fill``, and C's ``arb_fill`` runs the same
+    expressions natively. An array socket's DRAM link is one, and so is
+    the node's inter-socket link in every mode: the compiled node step
+    charges it in C, and the Python node step through this view.
     """
 
     WINDOW_FILLS = 512
@@ -93,12 +94,22 @@ class _ArbiterView:
     DELAY_DAMPING = 0.7
     MAX_DELAY_SERVICES = 512.0
 
-    def __init__(self, socket: SocketConfig, aregs: np.ndarray, airegs: np.ndarray):
-        self.line_bytes = socket.line_bytes
-        self.capacity_Bps = socket.dram_bandwidth_Bps
-        self.service_ns = socket.line_bytes / socket.dram_bandwidth_Bps * 1e9
-        self._a = aregs
-        self._ai = airegs
+    def __init__(self, line_bytes: int, bandwidth_Bps: float,
+                 throttle_writebacks: bool = False):
+        self.line_bytes = line_bytes
+        self.capacity_Bps = bandwidth_Bps
+        self.service_ns = line_bytes / bandwidth_Bps * 1e9
+        self._a = np.zeros(7, dtype=np.float64)
+        self._ai = np.zeros(4, dtype=np.int64)
+        arb = self.struct = _ckernel.ARBStruct()
+        arb.regs, arb.iregs = self._a.ctypes.data, self._ai.ctypes.data
+        arb.service_ns = self.service_ns
+        arb.window_fills = self.WINDOW_FILLS
+        arb.min_window_span = self.MIN_WINDOW_SPAN_NS
+        arb.damping = self.DELAY_DAMPING
+        arb.max_delay_services = self.MAX_DELAY_SERVICES
+        arb.line_bytes = line_bytes
+        arb.throttle_wb = 1 if throttle_writebacks else 0
 
     # -- counters (read via properties so the C loop's updates show) --------
 
@@ -263,8 +274,6 @@ class ArraySocket:
 
         # [0]=pending staged-line count.
         self._iregs = np.zeros(1, dtype=np.int64)
-        self._aregs = np.zeros(7, dtype=np.float64)
-        self._airegs = np.zeros(4, dtype=np.int64)
 
         ns = socket.prefetch.n_streams
         self._pf_sid = np.zeros(n * ns, dtype=np.int64)
@@ -276,7 +285,8 @@ class ArraySocket:
         self._pf_count = np.zeros(n, dtype=np.int64)
         self._pf_issued = np.zeros(n, dtype=np.int64)
 
-        self.arbiter = _ArbiterView(socket, self._aregs, self._airegs)
+        self.arbiter = _ArbiterView(socket.line_bytes, socket.dram_bandwidth_Bps,
+                                    socket.throttle_writebacks)
         self.prefetchers = [
             _PrefetcherView(socket.prefetch, self._pf_count, self._pf_issued, c)
             for c in range(n)
@@ -311,8 +321,7 @@ class ArraySocket:
         ks.arrival3 = self._arrival3.ctypes.data
         ks.dirty = self._dirty.ctypes.data
         ks.iregs = self._iregs.ctypes.data
-        ks.aregs = self._aregs.ctypes.data
-        ks.airegs = self._airegs.ctypes.data
+        ks.arb = ctypes.addressof(self.arbiter.struct)
         ks.pf_sid = self._pf_sid.ctypes.data
         ks.pf_last = self._pf_last.ctypes.data
         ks.pf_stride = self._pf_stride.ctypes.data
@@ -331,13 +340,6 @@ class ArraySocket:
         ks.dirty_cap = self._dirty_cap
         ks.l1_ns, ks.l2_ns, ks.l3_ns = self._l1_ns, self._l2_ns, self._l3_ns
         ks.pf_ns = self._pf_ns
-        ks.service_ns = self.arbiter.service_ns
-        ks.window_fills = _ArbiterView.WINDOW_FILLS
-        ks.min_window_span = _ArbiterView.MIN_WINDOW_SPAN_NS
-        ks.damping = _ArbiterView.DELAY_DAMPING
-        ks.max_delay_services = _ArbiterView.MAX_DELAY_SERVICES
-        ks.line_bytes = s.line_bytes
-        ks.throttle_wb = 1 if s.throttle_writebacks else 0
         ks.pf_enabled = 1 if s.prefetch.enabled else 0
         ks.pf_degree = s.prefetch.degree
         ks.pf_detect_after = s.prefetch.detect_after
@@ -475,16 +477,40 @@ SocketKernel = Union[FastSocket, ArraySocket]
 
 
 class _SchedBinding:
-    """The compiled scheduler's SCH struct bound to one kernel and one
-    macro-state. Built once per macro-state (the arrays it points at
-    never move) and reused for every window; only the queue line arena —
-    reallocated by ``grow_lines`` — and the Python-side scalar mirrors
-    need refreshing around each crossing. The macro-state owns the
-    binding, and :meth:`step` takes the state as an argument rather than
-    holding it, so the two form no reference cycle."""
+    """The compiled scheduler's SCH and NK structs bound to one kernel —
+    a lone :class:`ArraySocket`, or a node whose socket kernels are all
+    array sockets — and one macro-state. Built once per macro-state (the
+    arrays it points at never move) and reused for every window; only
+    the queue line arena (reallocated by ``grow_lines``), the node's
+    page-home table (reallocated when an allocation grows it) and the
+    Python-side scalar mirrors need refreshing around each crossing. The
+    macro-state owns the binding, and :meth:`step` takes the state as an
+    argument rather than holding it, so the two form no reference
+    cycle."""
 
-    def __init__(self, fast: "ArraySocket", st):
+    def __init__(self, fast, st):
         self.fast = fast
+        sockets = getattr(fast, "kernels", None) or [fast]
+        lead = sockets[0]
+        self._lib = lead._lib
+        nk = _ckernel.NKStruct()
+        self._ks_ptrs = (ctypes.c_void_p * len(sockets))(
+            *(ctypes.addressof(k._ks) for k in sockets))
+        nk.ks = ctypes.addressof(self._ks_ptrs)
+        nk.n_sockets = len(sockets)
+        nk.cores_per_socket = lead.socket.n_cores
+        self._addrspace = None
+        self._pages = None
+        if len(sockets) > 1:
+            nk.xlink = ctypes.addressof(fast.xlink.struct)
+            nk.carry = fast.remote_carry.ctypes.data
+            self._by_home = np.zeros(len(sockets), dtype=np.int64)
+            nk.by_home = self._by_home.ctypes.data
+            nk.remote_penalty_ns = fast.node.remote_penalty_ns
+            nk.page_line_shift = fast.addrspace.page_line_shift
+            self._addrspace = fast.addrspace
+        self.nk = nk
+        self._nkp = ctypes.byref(nk)
         q = st.q
         self._q = q
         sch = _ckernel.SCHStruct()
@@ -506,9 +532,9 @@ class _SchedBinding:
         sch.qextra = q.cextra.ctypes.data
         sch.n = q.n_slots
         sch.chunk_cap = q.chunk_cap
-        sch.ns_per_op = fast._ns_per_op
-        sch.dram_mlp_ns = fast._dram_ns
-        sch.dram_serial_ns = fast._dram_serial_ns
+        sch.ns_per_op = lead._ns_per_op
+        sch.dram_mlp_ns = lead._dram_ns
+        sch.dram_serial_ns = lead._dram_serial_ns
         self.sch = sch
         self._schp = ctypes.byref(sch)
         self._bound_generation = -1  # force a qlines refresh on first call
@@ -516,17 +542,22 @@ class _SchedBinding:
     def step(self, st, max_steps: int) -> int:
         sch, q = self.sch, self._q
         # Mirror the Python-side scheduling scalars into the struct (and
-        # rebind the line arena if a refill reallocated it) ...
+        # rebind the line arena or the page-home table if a refill or an
+        # allocation reallocated it) ...
         if self._bound_generation != q.generation:
             sch.qlines = q.lines.ctypes.data
             sch.line_cap = q.line_cap
             self._bound_generation = q.generation
+        if self._addrspace is not None:
+            pages = self._addrspace.page_homes
+            if pages is not self._pages:
+                self._pages = pages
+                self.nk.page_home = pages.ctypes.data
+                self.nk.n_pages = pages.size
         sch.max_total = st.max_total
         sch.total = st.total
         sch.active_mains = st.active_mains
-        status = int(
-            self.fast._lib.sched_step(self.fast._ksp, self._schp, max_steps)
-        )
+        status = int(self._lib.sched_step(self._nkp, self._schp, max_steps))
         # ... and back after the crossing.
         st.total = int(sch.total)
         st.active_mains = int(sch.active_mains)
@@ -534,16 +565,20 @@ class _SchedBinding:
         return status
 
 
-def bind_sched_step(fast: SocketKernel, st) -> Optional[object]:
+def bind_sched_step(fast, st) -> Optional[object]:
     """Bind the compiled ``sched_step`` to ``fast`` and a scheduler
     macro-state ``st`` (see :class:`repro.engine.scheduler._MacroState`).
 
+    ``fast`` is a socket kernel or a multi-socket
+    :class:`~repro.engine.node.NodeKernel`; the compiled step runs the
+    node's page-home lookup, remote-fill attribution and inter-socket
+    link in C, so a node window is one C loop like a lone socket's.
     Returns the cached ``step(st, max_steps) -> status`` callable, or
-    ``None`` when ``fast`` is not an :class:`ArraySocket` (the list
-    kernel and the node kernel), in which case the scheduler runs its
-    pure-Python macro-step.
+    ``None`` when a socket kernel is the list kernel (no C compiler),
+    in which case the scheduler runs its pure-Python macro-step.
     """
-    if not isinstance(fast, ArraySocket):
+    sockets = getattr(fast, "kernels", None) or (fast,)
+    if not all(isinstance(k, ArraySocket) for k in sockets):
         return None
     binding = st.binding
     if binding is None or binding.fast is not fast:

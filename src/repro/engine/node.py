@@ -33,14 +33,22 @@ Memory model (the STREAM-NUMA asymmetry):
   deterministic largest-remainder carry, because the per-socket kernels
   count misses without recording addresses.
 
+Execution: when every socket kernel is an
+:class:`~repro.engine.arraypath.ArraySocket`, the scheduler binds the
+compiled ``sched_step`` to the node, and C's ``node_chunk`` runs the
+page-home lookup, the remote-fill attribution and the inter-socket link
+for every chunk, so a node window is one C loop as a lone socket's is.
+:meth:`NodeKernel.run_chunk` is the same step in Python, line for line:
+the chunk-at-a-time reference, and the path of the list kernel on hosts
+without a C compiler. ``tests/engine/test_node_differential.py`` holds
+the compiled step, the Python macro-step and the chunk-at-a-time loop
+bit-identical on random 2- and 3-socket nodes.
+
 Equivalence gate: a **1-socket node is bit-identical to**
 :class:`~repro.engine.socket_sim.SocketSimulator` — same counters as
 integers, same finish times as floats — under both macro-step paths
-(``tests/engine/test_node_equivalence.py``). The node always runs the
-scheduler's pure-Python macro-step: the compiled ``sched_step`` binds to
-a single :class:`~repro.engine.arraypath.ArraySocket`, not to this
-multi-kernel facade. The dispatch path returns
-the socket kernel's clock untouched when no remote lines exist, so the
+(``tests/engine/test_node_equivalence.py``). Both steps pass a
+1-socket node's chunks straight to the socket kernel, so the
 single-socket case cannot drift.
 """
 
@@ -53,9 +61,8 @@ import numpy as np
 from ..config import NodeConfig, SocketConfig
 from ..errors import SimulationError
 from ..mem.addrspace import AddressSpace
-from ..mem.bandwidth import BandwidthArbiter
 from ..mem.counters import COLUMN, SocketCounters
-from .arraypath import make_socket_kernel
+from .arraypath import _ArbiterView, make_socket_kernel
 from .results import NodeMeasureResult
 from .scheduler import CoreState, Scheduler, ScheduleOutcome
 from .thread import SimThread, ThreadContext
@@ -68,7 +75,10 @@ class NodeKernel:
     :class:`~repro.engine.scheduler.Scheduler` drives, with node-global
     core ids; dispatches each chunk to the owning socket's kernel and
     charges cross-socket costs on the way out, into that kernel's counter
-    rows for the core.
+    rows for the core. When every socket kernel is an array socket the
+    scheduler binds the compiled ``sched_step`` to the node, whose C
+    ``node_chunk`` mirrors :meth:`run_chunk` line for line; this method
+    is the chunk-at-a-time reference and the list kernel's path.
     """
 
     def __init__(
@@ -87,14 +97,12 @@ class NodeKernel:
             make_socket_kernel(node.socket, track_owner=track_owner)
             for _ in range(node.n_sockets)
         ]
-        #: Inter-socket (QPI-style) link arbiter.
-        self.xlink = BandwidthArbiter(
-            line_bytes=node.socket.line_bytes,
-            bandwidth_Bps=node.link_bandwidth_Bps,
-        )
+        #: Inter-socket (QPI-style) link arbiter, a register block the
+        #: compiled node step charges in place.
+        self.xlink = _ArbiterView(node.socket.line_bytes, node.link_bandwidth_Bps)
         #: Largest-remainder carry for the remote-fill attribution, one
         #: per global core (timing state, survives counter resets).
-        self._remote_carry = [0.0] * self.n_cores
+        self.remote_carry = np.zeros(self.n_cores, dtype=np.float64)
 
     # -- hot path -------------------------------------------------------------
 
@@ -124,9 +132,9 @@ class NodeKernel:
         # Attribute this chunk's fills to remote homes by the chunk's
         # remote-access fraction, with a per-core carry so the long-run
         # remote fill count converges to the exact fraction.
-        x = fills * (n_remote / lines.size) + self._remote_carry[core]
+        x = fills * (n_remote / lines.size) + float(self.remote_carry[core])
         n_rf = int(x)
-        self._remote_carry[core] = x - n_rf
+        self.remote_carry[core] = x - n_rf
         if n_rf == 0:
             return t
         # The dominant home of this chunk's remote lines absorbs the

@@ -18,10 +18,11 @@ The interleave is macro-stepped (DESIGN.md decision 11): threads stage
 whole *blocks* of chunks into preallocated per-core queues
 (:mod:`repro.engine.blockq`) through their vectorised ``fill_block``,
 and the min-clock loop consumes them in the compiled
-``repro.engine._ckernel.sched_step``. Kernels that cannot bind the
-compiled step (the list kernel on hosts without a C compiler, and the
-multi-socket :class:`~repro.engine.node.NodeKernel`) run the
-bit-identical pure-Python :meth:`Scheduler._py_macro_step`.
+``repro.engine._ckernel.sched_step``, which binds to a lone array
+socket and to a multi-socket :class:`~repro.engine.node.NodeKernel`
+over array sockets alike. The list kernel, on hosts without a C
+compiler, runs the bit-identical pure-Python
+:meth:`Scheduler._py_macro_step`.
 Python is re-entered only to refill a drained queue, so per-chunk
 scheduling overhead amortises over the block. Either step runs each
 chunk through the kernel's ``run_chunk``, which adds it to the kernel's
@@ -274,7 +275,7 @@ class Scheduler:
     def _py_macro_step(self, st: _MacroState, max_steps: int) -> int:
         """Pure-Python mirror of the compiled ``sched_step`` (same
         arrays, same statuses, same tie-break), used for the list kernel
-        and the multi-socket node kernel. Chunks are zero-copy views
+        (a node over list kernels included). Chunks are zero-copy views
         into the queue arena, executed through the kernel's ordinary
         ``run_chunk`` — so event counters and finish times are
         bit-identical by construction."""

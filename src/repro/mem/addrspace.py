@@ -121,8 +121,8 @@ class AddressSpace:
         self.placement = placement
         self.page_bytes = page_bytes
         self.page_shift = page_bytes.bit_length() - 1
-        #: Pages per line-address shift: page index = line_addr >> this.
-        self._page_line_shift = self.page_shift - self.line_shift
+        #: Page index of a line address = line_addr >> this.
+        self.page_line_shift = self.page_shift - self.line_shift
         # Start allocations away from address 0 so line address 0 never
         # collides with sentinel values inside the fast path.
         self._next = line_bytes
@@ -241,9 +241,17 @@ class AddressSpace:
         grown[: self._page_home.size] = self._page_home
         self._page_home = grown
 
+    @property
+    def page_homes(self) -> np.ndarray:
+        """The page-home table: page index -> home socket, -1 for a page
+        never allocated. An allocation past its end replaces it with a
+        larger array, so re-read it rather than hold it."""
+        return self._page_home
+
     def home_of_line(self, line_addr: int) -> int:
-        """Home socket of one line address (0 for never-allocated pages)."""
-        page = line_addr >> self._page_line_shift
+        """Home socket of one line address: 0 for a page never
+        allocated, beyond the table included."""
+        page = line_addr >> self.page_line_shift
         if not 0 <= page < self._page_home.size:
             return 0
         h = int(self._page_home[page])
@@ -252,9 +260,11 @@ class AddressSpace:
     def homes_of_lines(self, lines: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`home_of_line` for an int64 line-address
         array (the node kernel's per-chunk lookup)."""
-        pages = lines >> self._page_line_shift
-        homes = self._page_home[np.clip(pages, 0, self._page_home.size - 1)]
-        return np.maximum(homes, 0)
+        pages = lines >> self.page_line_shift
+        table = self._page_home
+        homes = np.maximum(table.take(pages, mode="clip"), 0)
+        homes[(pages < 0) | (pages >= table.size)] = 0
+        return homes
 
 
 def _round_up(n: int, align: int) -> int:

@@ -12,9 +12,11 @@ would see at a given effective capacity), and the
 ``model-vs-stack-distance`` ablation bench uses it to check Eq. 4
 against ground truth for the Table II benchmarks.
 
-Implementation: the classic O(N log M) algorithm with a Fenwick tree
-over access timestamps — pure Python, but the tree operations are a few
-integer ops each, good for ~1M accesses/s.
+Implementation: the classic O(N log N) algorithm with a Fenwick tree
+over access timestamps, run by the compiled ``reuse_distances`` of
+:mod:`repro.engine._ckernel` over dense line ids. Without a C compiler
+(or with ``REPRO_NO_CKERNEL=1``) the same loop runs in pure Python,
+with the same result.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from ..engine import _ckernel
 from ..errors import ModelError
 
 #: Reuse distance assigned to cold (first-touch) accesses.
@@ -65,6 +68,26 @@ def reuse_distances(trace: Sequence[int] | np.ndarray) -> np.ndarray:
     *distinct* lines touched strictly between two accesses to the same
     line, which equals the line's LRU stack depth at the second access.
     """
+    lib = _ckernel.load()
+    if lib is None:
+        return _python_reuse_distances(trace)
+    addrs = np.asarray(trace)
+    out = np.empty(addrs.size, dtype=np.int64)
+    if addrs.size == 0:
+        return out
+    # Dense ids index the C loop's per-line table.
+    distinct, ids = np.unique(addrs, return_inverse=True)
+    ids = np.ascontiguousarray(ids.reshape(-1), dtype=np.int64)
+    last = np.full(distinct.size, -1, dtype=np.int64)
+    tree = np.zeros(ids.size + 1, dtype=np.int64)
+    lib.reuse_distances(ids.ctypes.data, ids.size, last.ctypes.data,
+                        tree.ctypes.data, out.ctypes.data)
+    return out
+
+
+def _python_reuse_distances(trace: Sequence[int] | np.ndarray) -> np.ndarray:
+    """:func:`reuse_distances` in pure Python, for hosts without the C
+    kernel."""
     if isinstance(trace, np.ndarray):
         trace = trace.tolist()
     n = len(trace)

@@ -27,8 +27,9 @@ from repro.workloads.synthetic import ProbabilisticBenchmark
 
 #: Same triangle as test_sched_equivalence: chunk == macro-C == macro-py.
 #: ``chunk`` runs both simulators' windows through the chunk-at-a-time
-#: reference; ``macro-py`` unbinds the compiled step, so the socket
-#: simulator runs the same pure-Python macro-step as the node always does.
+#: reference; ``macro`` binds the compiled step to both (the node's is
+#: the 1-socket pass-through); ``macro-py`` unbinds it from both, so each
+#: runs the pure-Python macro-step.
 MODES = ("chunk", "macro", "macro-py")
 
 

@@ -180,6 +180,18 @@ class TestPagePlacement:
         assert space.home_of_line(1 << 40) == 0
         far = np.array([1 << 40, 1 << 41], dtype=np.int64)
         assert (space.homes_of_lines(far) == 0).all()
+        # Home the table's last page on socket 1 without growing the
+        # table: a page past the table still homes 0 in both lookups,
+        # not the last entry's home.
+        n_pages = space.page_homes.size
+        space.alloc(n_pages * 1024 - 1024 - 128)  # bump to the last page
+        last = space.alloc(512, home=1)
+        assert space.page_homes.size == n_pages
+        assert space.home_of_line(last.base_line) == 1
+        past = n_pages << space.page_line_shift  # first line past the table
+        assert space.home_of_line(past) == 0
+        lines = np.array([last.base_line, past, past + 1], dtype=np.int64)
+        assert space.homes_of_lines(lines).tolist() == [1, 0, 0]
 
     def test_validation(self):
         from repro.errors import ConfigError

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import CacheGeometry
+from repro.engine import _ckernel
 from repro.errors import ModelError
 from repro.mem import SetAssociativeCache
 from repro.trace import COLD, ReuseProfile, reuse_distances
+from repro.trace.stack_distance import _python_reuse_distances
 
 
 class TestReuseDistances:
@@ -110,3 +112,34 @@ def test_property_distance_counts_are_consistent(trace):
     profile = ReuseProfile.from_trace(trace)
     assert profile.cold_misses == len(set(trace))
     assert profile.cold_misses + int(profile.counts.sum()) == len(trace)
+
+
+#: Traces of line addresses: dense ones (many reuses), runs of repeated
+#: lines, and huge addresses spanning the whole int64 range.
+_traces = st.one_of(
+    st.lists(st.integers(min_value=0, max_value=40), max_size=300),
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=8),
+                  st.integers(min_value=1, max_value=6)),
+        max_size=50,
+    ).map(lambda runs: [a for a, k in runs for _ in range(k)]),
+    st.lists(st.sampled_from([-(2**63), -1, 0, 2**62, 2**63 - 1])
+             | st.integers(min_value=-(2**63), max_value=2**63 - 1),
+             max_size=60),
+)
+
+
+@pytest.mark.skipif(not _ckernel.available(), reason="needs the C kernel")
+@given(_traces)
+@example([])
+@example([5])
+@example([3, 3, 3, 3])
+@settings(max_examples=200, deadline=None)
+def test_property_compiled_equals_python(trace):
+    """The compiled loop over dense ids returns the pure-Python Fenwick
+    loop's distances, for lists and arrays alike."""
+    expected = _python_reuse_distances(trace).tolist()
+    for form in (trace, np.array(trace, dtype=np.int64)):
+        got = reuse_distances(form)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected

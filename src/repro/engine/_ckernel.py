@@ -2,8 +2,9 @@
 
 The array kernel (:mod:`repro.engine.arraypath`) keeps all simulation
 state in flat, C-contiguous buffers: int64 tag arrays per cache level
-with int32 recency lists beside them, an int32 L3 line index, a uint8
-dirty bitmap indexed by line address, float64 arrival slots for
+with int32 recency lists beside them, uint8 tag fingerprints at L1 and
+L2, an int32 L3 line index, a uint8 dirty bitmap indexed by line
+address, float64 arrival slots for
 prefetch-staged lines, and small register blocks for the bandwidth
 arbiters (``ARB``: each socket's DRAM link and the node's inter-socket
 link, all served by one ``arb_fill``) and the per-core stride
@@ -16,14 +17,18 @@ matrices in place (column order in :mod:`repro.mem.counters`).
 
 Semantics are a line-for-line port of the reference list kernel
 (:class:`repro.engine.fastpath.FastSocket`). Its per-set recency lists
-become doubly linked lists over slot ids (``prev``/``next`` per slot, an
-LRU head and an MRU tail per set): a hit or a fill moves the slot to the
-MRU tail and the victim is the LRU head, both in constant time. Each
-list starts in slot order, so empty slots fill in slot order, which
-reproduces the list kernel's append-then-evict order exactly. L3 hits
-are found through ``idx3``, an open-addressing line → slot table with
-at least twice as many buckets as L3 slots; the L1 and L2 hit probes
-stay linear scans of their few ways. All floating-point expressions
+become circular doubly linked lists over slot ids (``prev``/``next`` per
+slot, an LRU head per set whose ``prev`` is the MRU slot). The victim is
+the head; a fill writes the head slot and advances ``head``, which makes
+the slot MRU, and a hit moves its slot to the MRU end, all in constant
+time. Each list starts in slot order, so empty slots fill in slot order,
+which reproduces the list kernel's append-then-evict order exactly. L3
+hits are found through ``idx3``, an open-addressing line → slot table
+with at least twice as many buckets as L3 slots. L1 and L2 keep a
+one-byte fingerprint per slot (:func:`fingerprint` mirrors it): a probe
+compares a set's fingerprints eight at a time and the full tags of
+matching ways only, so a line that is absent, the usual case, costs one
+compare per eight ways. All floating-point expressions
 mirror the Python operand order and the library is built with
 ``-ffp-contract=off``, so chunk finish times, time counters and arbiter
 state are bit-identical to the list kernel, not merely close.
@@ -63,6 +68,18 @@ i64 = ctypes.c_longlong
 #: and must not collide with the sentinel.
 EMPTY_TAG = -(2**63)
 
+#: C's ``HASH_MULT``: the Fibonacci-hash multiplier of the L3 line index
+#: and of the L1/L2 tag fingerprints.
+HASH_MULT = 0x9E3779B97F4A7C15
+
+
+def fingerprint(line):
+    """C's ``fingerprint``: the one-byte fingerprint an L1/L2 slot keeps of
+    its tag, the top byte of ``line * HASH_MULT`` mod 2**64. ``line`` is a
+    Python int or a ``uint64`` array (elementwise)."""
+    return ((line * HASH_MULT) & 0xFFFF_FFFF_FFFF_FFFF) >> 56
+
+
 C_SOURCE = r"""
 #include <stdint.h>
 
@@ -71,6 +88,8 @@ typedef int32_t i32;
 typedef unsigned char u8;
 
 #define EMPTY_TAG INT64_MIN
+/* Fibonacci-hash multiplier of idx3's buckets and the tag fingerprints. */
+#define HASH_MULT 0x9E3779B97F4A7C15ULL
 
 /* A bandwidth arbiter (repro.mem.bandwidth): its register blocks and
  * parameters. Every socket's DRAM link and the node's inter-socket link
@@ -91,14 +110,16 @@ typedef struct {
 
 /* All members are 8 bytes wide so the layout has no padding and the
  * ctypes mirror cannot drift. Each cache level keeps, beside its tags, a
- * doubly linked recency list per set: prev/next per slot (-1 ends a
- * list) and the LRU head and MRU tail per set. Slot ids are offsets into
- * the level's tag block; L1 and L2 keep one block per core. */
+ * circular doubly linked recency list per set: prev/next per slot and
+ * the LRU head per set, whose prev is the MRU slot. L1 and L2 also keep
+ * a one-byte fingerprint of each slot's tag (fp1, fp2; 7 bytes of
+ * padding past the last slot). Slot ids are offsets into the level's tag
+ * block; L1 and L2 keep one block per core. */
 typedef struct {
     /* cache state */
-    i64 *tags1; i32 *prev1; i32 *next1; i32 *head1; i32 *tail1;
-    i64 *tags2; i32 *prev2; i32 *next2; i32 *head2; i32 *tail2;
-    i64 *tags3; i32 *prev3; i32 *next3; i32 *head3; i32 *tail3;
+    i64 *tags1; u8 *fp1; i32 *prev1; i32 *next1; i32 *head1;
+    i64 *tags2; u8 *fp2; i32 *prev2; i32 *next2; i32 *head2;
+    i64 *tags3; i32 *prev3; i32 *next3; i32 *head3;
     i32 *idx3;                   /* L3 line -> slot, linear probing; -1 empty */
     i64 *owner3;                 /* NULL when owner tracking is off */
     double *arrival3;            /* per L3 slot; < 0 means none pending */
@@ -127,35 +148,82 @@ typedef struct {
 } KS;
 
 /* One level's recency lists (one core's block for L1 and L2). */
-typedef struct { i32 *prev; i32 *next; i32 *head; i32 *tail; } LRU;
+typedef struct { i32 *prev; i32 *next; i32 *head; } LRU;
 
-/* Move slot s to the MRU tail of set `set`'s list. */
+/* Make slot s the MRU slot of set `set`'s circular list. The MRU slot is
+ * prev[head], so when s is the LRU head, advancing head is the whole
+ * move. */
 static inline void lru_touch(LRU r, i64 set, i32 s)
 {
-    i32 t = r.tail[set];
-    if (t == s) return;
-    i32 p = r.prev[s], nx = r.next[s];   /* nx >= 0: s is not the tail */
-    if (p >= 0) r.next[p] = nx; else r.head[set] = nx;
+    i32 h = r.head[set];
+    if (s == h) { r.head[set] = r.next[s]; return; }
+    i32 m = r.prev[h];
+    if (s == m) return;
+    i32 p = r.prev[s], nx = r.next[s];
+    r.next[p] = nx;
     r.prev[nx] = p;
-    r.prev[s] = t;
-    r.next[s] = -1;
-    r.next[t] = s;
-    r.tail[set] = s;
+    r.prev[s] = m;
+    r.next[s] = h;
+    r.next[m] = s;
+    r.prev[h] = s;
 }
 
-/* Replace set `set`'s LRU line with `line`, which becomes MRU. */
-static inline void lru_fill(i64 *tags, LRU r, i64 set, i64 line)
+/* The one-byte fingerprint of a tag: the top byte of its Fibonacci hash
+ * (repro.engine._ckernel.fingerprint mirrors it). */
+static inline u8 fingerprint(i64 line)
+{
+    return (u8)(((uint64_t)line * HASH_MULT) >> 56);
+}
+
+/* Replace set `set`'s LRU line with `line` (fingerprint f), which becomes
+ * MRU: the fingerprint is written, then head advances past the slot. */
+static inline void lru_fill(i64 *tags, u8 *fp, LRU r, i64 set, i64 line,
+                            u8 f)
 {
     i32 vs = r.head[set];
     tags[vs] = line;
-    lru_touch(r, set, vs);
+    fp[vs] = f;
+    r.head[set] = r.next[vs];
+}
+
+#define BYTES_01 0x0101010101010101ULL
+#define BYTES_80 0x8080808080808080ULL
+
+/* Slot of `line` (fingerprint f) among the w ways from slot b, or -1.
+ * Eight fingerprints at a time are read as one word, composed byte by
+ * byte with way 0 in the low byte, so the way order of its bits does not
+ * depend on the host's byte order (gcc emits one load). `cand`
+ * marks the bytes equal to f, lowest way first, among the set's own ways
+ * only; a full-tag compare decides each candidate, as fingerprints
+ * collide freely. */
+static inline i32 way_find(const i64 *tags, const u8 *fp, i64 b, i64 w,
+                           i64 line, u8 f)
+{
+    uint64_t fw = (uint64_t)f * BYTES_01;
+    for (i64 j = 0; j < w; j += 8) {
+        const u8 *p = fp + b + j;
+        uint64_t x = (uint64_t)p[0] | (uint64_t)p[1] << 8
+                   | (uint64_t)p[2] << 16 | (uint64_t)p[3] << 24
+                   | (uint64_t)p[4] << 32 | (uint64_t)p[5] << 40
+                   | (uint64_t)p[6] << 48 | (uint64_t)p[7] << 56;
+        x ^= fw;
+        /* 0x80 in each zero byte of x: the lowest mark is always a zero
+         * byte, a higher one may not be (the tag compare rejects it) */
+        uint64_t cand = (x - BYTES_01) & ~x & BYTES_80;
+        if (w - j < 8) cand &= (1ULL << (8 * (w - j))) - 1;
+        for (; cand; cand &= cand - 1) {
+            i64 q = b + j + (__builtin_ctzll(cand) >> 3);
+            if (tags[q] == line) return (i32)q;
+        }
+    }
+    return -1;
 }
 
 /* Home bucket of a line in idx3: multiplicative hash of the whole line
  * address (all lines of one set share their low bits). */
 static inline uint64_t idx_home(const KS *k, i64 line)
 {
-    return ((uint64_t)line * 0x9E3779B97F4A7C15ULL) >> k->idx_shift;
+    return ((uint64_t)line * HASH_MULT) >> k->idx_shift;
 }
 
 /* L3 slot holding `line`, or -1. */
@@ -285,8 +353,9 @@ static i64 pf_observe(KS *k, i64 core, i64 a, i64 sid, i64 *stride_out)
 }
 
 /* Evict set `set`'s LRU line from L3 (dropping its pending arrival and
- * writing it back if dirty) and put `line` in its slot as MRU. The victim
- * leaves idx3 before its tag is overwritten; `line` then enters it. */
+ * writing it back if dirty) and put `line` in its slot, which becomes
+ * MRU as head advances past it. The victim leaves idx3 before its tag is
+ * overwritten; `line` then enters it. */
 static i32 l3_fill(KS *k, LRU r3, i64 set, i64 line, double t, i64 *nwb)
 {
     i32 vs = r3.head[set];
@@ -305,7 +374,7 @@ static i32 l3_fill(KS *k, LRU r3, i64 set, i64 line, double t, i64 *nwb)
     uint64_t i = idx_home(k, line);
     while (k->idx3[i] >= 0) i = (i + 1) & m;
     k->idx3[i] = vs;
-    lru_touch(r3, set, vs);
+    r3.head[set] = r3.next[vs];
     return vs;
 }
 
@@ -323,11 +392,10 @@ double chunk_loop(KS *k, i64 core, const i64 *lines, i64 n,
     i64 w1 = k->w1, w2 = k->w2;
     i64 o1 = core * k->blk1, o2 = core * k->blk2;
     i64 *tags1 = k->tags1 + o1, *tags2 = k->tags2 + o2;
-    LRU r1 = { k->prev1 + o1, k->next1 + o1,
-               k->head1 + core * (m1 + 1), k->tail1 + core * (m1 + 1) };
-    LRU r2 = { k->prev2 + o2, k->next2 + o2,
-               k->head2 + core * (m2 + 1), k->tail2 + core * (m2 + 1) };
-    LRU r3 = { k->prev3, k->next3, k->head3, k->tail3 };
+    u8 *fp1 = k->fp1 + o1, *fp2 = k->fp2 + o2;
+    LRU r1 = { k->prev1 + o1, k->next1 + o1, k->head1 + core * (m1 + 1) };
+    LRU r2 = { k->prev2 + o2, k->next2 + o2, k->head2 + core * (m2 + 1) };
+    LRU r3 = { k->prev3, k->next3, k->head3 };
     i64 *owner3 = k->owner3;
     double *arr3 = k->arrival3;
     u8 *dirty = k->dirty;
@@ -340,10 +408,9 @@ double chunk_loop(KS *k, i64 core, const i64 *lines, i64 n,
     for (i64 i = 0; i < n; i++) {
         i64 a = lines[i];
         t += ops_ns;
-        i64 s1 = a & m1, b1 = s1 * w1;
-        i32 h1 = -1;
-        for (i64 j = 0; j < w1; j++)
-            if (tags1[b1 + j] == a) { h1 = (i32)(b1 + j); break; }
+        u8 f = fingerprint(a);
+        i64 s1 = a & m1;
+        i32 h1 = way_find(tags1, fp1, s1 * w1, w1, a, f);
         if (h1 >= 0) {
             t += l1_ns;
             n1 += 1;
@@ -360,10 +427,8 @@ double chunk_loop(KS *k, i64 core, const i64 *lines, i64 n,
             }
             continue;
         }
-        i64 s2 = a & m2, b2 = s2 * w2;
-        i32 h2 = -1;
-        for (i64 j = 0; j < w2; j++)
-            if (tags2[b2 + j] == a) { h2 = (i32)(b2 + j); break; }
+        i64 s2 = a & m2;
+        i32 h2 = way_find(tags2, fp2, s2 * w2, w2, a, f);
         if (h2 >= 0) {
             t += l2_ns;
             n2 += 1;
@@ -423,18 +488,17 @@ double chunk_loop(KS *k, i64 core, const i64 *lines, i64 n,
                         *npend += 1;
                         if (owner3) owner3[vs] = core;
                     }
-                    i64 sp2 = p & m2, bp2 = sp2 * w2;
-                    i64 hq = -1;
-                    for (i64 j = 0; j < w2; j++)
-                        if (tags2[bp2 + j] == p) { hq = j; break; }
-                    if (hq < 0) lru_fill(tags2, r2, sp2, p);
+                    i64 sp2 = p & m2;
+                    u8 fq = fingerprint(p);
+                    if (way_find(tags2, fp2, sp2 * w2, w2, p, fq) < 0)
+                        lru_fill(tags2, fp2, r2, sp2, p, fq);
                 }
             }
             /* fill L2 (silent private eviction) */
-            lru_fill(tags2, r2, s2, a);
+            lru_fill(tags2, fp2, r2, s2, a, f);
         }
         /* fill L1 */
-        lru_fill(tags1, r1, s1, a);
+        lru_fill(tags1, fp1, r1, s1, a, f);
         if (w) dirty[a] = 1;
         /* hit-streak after a fill: the line is now L1-MRU */
         while (i + 1 < n && lines[i + 1] == a) {
@@ -723,15 +787,14 @@ class KStruct(ctypes.Structure):
     """ctypes mirror of the C ``KS`` struct (all members 8 bytes)."""
 
     _fields_ = [
-        ("tags1", ctypes.c_void_p), ("prev1", ctypes.c_void_p),
-        ("next1", ctypes.c_void_p), ("head1", ctypes.c_void_p),
-        ("tail1", ctypes.c_void_p),
-        ("tags2", ctypes.c_void_p), ("prev2", ctypes.c_void_p),
-        ("next2", ctypes.c_void_p), ("head2", ctypes.c_void_p),
-        ("tail2", ctypes.c_void_p),
+        ("tags1", ctypes.c_void_p), ("fp1", ctypes.c_void_p),
+        ("prev1", ctypes.c_void_p), ("next1", ctypes.c_void_p),
+        ("head1", ctypes.c_void_p),
+        ("tags2", ctypes.c_void_p), ("fp2", ctypes.c_void_p),
+        ("prev2", ctypes.c_void_p), ("next2", ctypes.c_void_p),
+        ("head2", ctypes.c_void_p),
         ("tags3", ctypes.c_void_p), ("prev3", ctypes.c_void_p),
         ("next3", ctypes.c_void_p), ("head3", ctypes.c_void_p),
-        ("tail3", ctypes.c_void_p),
         ("idx3", ctypes.c_void_p),
         ("owner3", ctypes.c_void_p),
         ("arrival3", ctypes.c_void_p),
@@ -826,16 +889,30 @@ def _cache_dir() -> str:
 
 
 def _find_cc() -> Optional[str]:
+    """The C compiler: the path of ``$CC``, else of ``cc``, ``gcc`` or
+    ``clang``, whichever is first on PATH."""
     import shutil
 
     for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if cand and shutil.which(cand):
-            return cand
+        path = shutil.which(cand) if cand else None
+        if path:
+            return path
     return None
 
 
-def _build(cc: str, cache: str, tag: str) -> Optional[str]:
-    lib = os.path.join(cache, f"reprokernel-{tag}.so")
+def _library_path(cc: str, cache: str) -> str:
+    """Where the build of ``C_SOURCE`` with ``cc`` and ``CFLAGS`` lives in
+    ``cache``. The name hashes the source, the flags, the compiler's path
+    and the file it resolves to (a switched ``cc`` alternative is another
+    compiler), so a cached library is never loaded for other flags or
+    another compiler."""
+    key = "\0".join((C_SOURCE, cc, os.path.realpath(cc), *CFLAGS))
+    tag = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return os.path.join(cache, f"reprokernel-{tag}.so")
+
+
+def _build(cc: str, cache: str) -> Optional[str]:
+    lib = _library_path(cc, cache)
     if os.path.exists(lib):
         return lib
     try:
@@ -866,7 +943,8 @@ _TRIED = False
 
 
 def load() -> Optional[ctypes.CDLL]:
-    """Compile (once, cached by source hash) and load the C kernel.
+    """Compile (once, cached by source, compiler and flags) and load the
+    C kernel.
 
     Returns ``None`` when disabled (``REPRO_NO_CKERNEL=1``), when no C
     compiler is on PATH, or when the build fails for any reason — the
@@ -882,11 +960,10 @@ def load() -> Optional[ctypes.CDLL]:
     cc = _find_cc()
     if cc is None:
         return None
-    tag = hashlib.sha256(C_SOURCE.encode()).hexdigest()[:16]
-    lib_path = _build(cc, _cache_dir(), tag)
+    lib_path = _build(cc, _cache_dir())
     if lib_path is None:
         # Retry in a temp dir (e.g. read-only home).
-        lib_path = _build(cc, os.path.join(tempfile.gettempdir(), "repro-ckernel"), tag)
+        lib_path = _build(cc, os.path.join(tempfile.gettempdir(), "repro-ckernel"))
     if lib_path is None:
         return None
     try:

@@ -6,13 +6,16 @@ that keeps every piece of mutable simulation state in flat, preallocated,
 C-contiguous buffers:
 
 - per-level **tag arrays** (``int64``, one slot per cache way, sets laid
-  out consecutively) plus **recency lists**: ``int32`` ``prev``/``next``
-  links per slot and an LRU head and MRU tail per set. A hit or a fill
-  moves the slot to the MRU tail; the victim is the LRU head. Each list
+  out consecutively) plus circular **recency lists**: ``int32``
+  ``prev``/``next`` links per slot and an LRU head per set, whose
+  ``prev`` is the MRU slot. The victim is the head; a fill writes it and
+  advances the head, a hit moves its slot to the MRU end. Each list
   starts (and restarts, in :meth:`ArraySocket.flush_caches`) in slot
   order, so empty slots fill in slot order, which reproduces the list
   kernel's append-then-evict recency order exactly (cross-validated
   bit-for-bit by ``tests/engine/test_kernel_equivalence.py``);
+- per-slot **tag fingerprints** (``uint8``) at L1 and L2, which the
+  compiled lookups compare eight at a time before any full tag;
 - an **L3 line index** (``int32``): a linear-probing table from line
   address to L3 slot, sized by the L3's slot count (a power of two with
   at least twice the slots), not by the range of line addresses;
@@ -197,31 +200,31 @@ class _PrefetcherView:
 
 
 def _recency_lists(n_blocks: int, n_sets: int, ways: int):
-    """``(prev, next, head, tail)`` int32 arrays for ``n_blocks`` blocks
-    of ``n_sets`` sets: prev/next per slot, LRU head and MRU tail per set,
-    every list in slot order (see :func:`_reset_recency`)."""
+    """``(prev, next, head)`` int32 arrays for ``n_blocks`` blocks of
+    ``n_sets`` sets: prev/next per slot and the LRU head per set, every
+    list circular and in slot order (see :func:`_reset_recency`)."""
     slots, sets = n_blocks * n_sets * ways, n_blocks * n_sets
     lru = (np.empty(slots, dtype=np.int32), np.empty(slots, dtype=np.int32),
-           np.empty(sets, dtype=np.int32), np.empty(sets, dtype=np.int32))
+           np.empty(sets, dtype=np.int32))
     _reset_recency(lru, n_sets, ways)
     return lru
 
 
 def _reset_recency(lru, n_sets: int, ways: int) -> None:
-    """Put every set's recency list back in slot order, way 0 at the LRU
-    head. Filled slots always move to the MRU tail, so empty slots stay
-    ahead of them and fill in slot order, as the list kernel appends."""
-    prev, nxt, head, tail = lru
+    """Put every set's circular recency list back in slot order, way 0 at
+    the LRU head and the last way, ``prev[head]``, at the MRU end. A fill
+    writes the head slot and advances head past it, so empty slots fill in
+    slot order, as the list kernel appends."""
+    prev, nxt, head = lru
     # Views with one row of sets per block (per core at L1 and L2).
     prev, nxt = prev.reshape(-1, n_sets, ways), nxt.reshape(-1, n_sets, ways)
-    head, tail = head.reshape(-1, n_sets), tail.reshape(-1, n_sets)
+    head = head.reshape(-1, n_sets)
     slot = np.arange(n_sets * ways, dtype=np.int32).reshape(n_sets, ways)
     prev[...] = slot - 1
-    prev[:, :, 0] = -1
+    prev[:, :, 0] = slot[:, -1]
     nxt[...] = slot + 1
-    nxt[:, :, -1] = -1
+    nxt[:, :, -1] = slot[:, 0]
     head[...] = slot[:, 0]
-    tail[...] = slot[:, -1]
 
 
 class ArraySocket:
@@ -258,6 +261,11 @@ class ArraySocket:
         self._lru1 = _recency_lists(n, s1, w1)
         self._tags2 = np.full(n * s2 * w2, EMPTY_TAG, dtype=np.int64)
         self._lru2 = _recency_lists(n, s2, w2)
+        # Tag fingerprints, read eight at a time: 7 bytes of padding keep
+        # the last set's reads inside the array. An empty slot's byte is
+        # never trusted (its tag decides), so flushes leave them.
+        self._fp1 = np.zeros(n * s1 * w1 + 7, dtype=np.uint8)
+        self._fp2 = np.zeros(n * s2 * w2 + 7, dtype=np.uint8)
         self._tags3 = np.full(s3 * w3, EMPTY_TAG, dtype=np.int64)
         self._lru3 = _recency_lists(1, s3, w3)
         # L3 line -> slot index: a power of two with at least twice the
@@ -310,12 +318,12 @@ class ArraySocket:
     def _build_struct(self) -> "_ckernel.KStruct":
         s = self.socket
         ks = _ckernel.KStruct()
-        ks.tags1 = self._tags1.ctypes.data
-        ks.prev1, ks.next1, ks.head1, ks.tail1 = (a.ctypes.data for a in self._lru1)
-        ks.tags2 = self._tags2.ctypes.data
-        ks.prev2, ks.next2, ks.head2, ks.tail2 = (a.ctypes.data for a in self._lru2)
+        ks.tags1, ks.fp1 = self._tags1.ctypes.data, self._fp1.ctypes.data
+        ks.prev1, ks.next1, ks.head1 = (a.ctypes.data for a in self._lru1)
+        ks.tags2, ks.fp2 = self._tags2.ctypes.data, self._fp2.ctypes.data
+        ks.prev2, ks.next2, ks.head2 = (a.ctypes.data for a in self._lru2)
         ks.tags3 = self._tags3.ctypes.data
-        ks.prev3, ks.next3, ks.head3, ks.tail3 = (a.ctypes.data for a in self._lru3)
+        ks.prev3, ks.next3, ks.head3 = (a.ctypes.data for a in self._lru3)
         ks.idx3 = self._idx3.ctypes.data
         ks.owner3 = self._owner3.ctypes.data if self._owner3 is not None else None
         ks.arrival3 = self._arrival3.ctypes.data

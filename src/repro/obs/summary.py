@@ -5,6 +5,8 @@ Chrome JSON, see :func:`repro.obs.export.load_trace`) and answers the
 questions the end-of-run counter line cannot:
 
 - **per-phase time** — wall time by span category with call counts;
+- **self time by span name** — calls, inclusive time and self time (the
+  time not covered by child spans on the span's own lane) per name;
 - **point latency** — p50/p95/p99 over the per-point measurement spans;
 - **cache/journal hit timelines** — the order in which lookups hit or
   missed, so "all the hits came first, then we measured everything
@@ -69,6 +71,47 @@ def _phase_table(spans: List[Dict[str, Any]]) -> List[str]:
         lines.append(
             f"  {cat.ljust(width)}  {_fmt_s(total):>9}  "
             f"n={len(durs):<5d} mean={_fmt_s(total / len(durs))}"
+        )
+    return lines
+
+
+def self_times(spans: List[Dict[str, Any]]) -> Dict[str, Tuple[int, float, float]]:
+    """``name -> (calls, total, self)`` seconds over ``spans``. A span's
+    self time is its duration minus the part of it that its child spans
+    cover: those on the same (pid, tid) lane that start inside it, and
+    not before it. Each child's time is taken from its innermost parent
+    only, so nothing is subtracted twice."""
+    lanes: Dict[Tuple[int, int], List[Dict[str, Any]]] = {}
+    for s in spans:
+        lanes.setdefault((s["pid"], s["tid"]), []).append(s)
+    rows: Dict[str, List[Any]] = {}
+    for lane in lanes.values():
+        # A parent sorts before the children it contains.
+        lane.sort(key=lambda s: (s["t0"], -s["dur"]))
+        open_spans: List[Tuple[float, List[Any]]] = []  # (end, row)
+        for s in lane:
+            t0, end = s["t0"], s["t0"] + s["dur"]
+            while open_spans and open_spans[-1][0] <= t0:
+                open_spans.pop()
+            if open_spans:
+                parent_end, parent = open_spans[-1]
+                parent[2] -= min(end, parent_end) - t0
+            row = rows.setdefault(s["name"], [0, 0.0, 0.0])
+            row[0] += 1
+            row[1] += s["dur"]
+            row[2] += s["dur"]
+            open_spans.append((end, row))
+    return {name: (row[0], row[1], row[2]) for name, row in rows.items()}
+
+
+def _self_time_table(spans: List[Dict[str, Any]]) -> List[str]:
+    table = sorted(self_times(spans).items(), key=lambda kv: -kv[1][2])
+    width = max(len("name"), *(len(name) for name, _ in table))
+    lines = [f"  {'name'.ljust(width)}  {'calls':>7}  {'total':>9}  {'self':>9}"]
+    for name, (calls, total, self_s) in table:
+        lines.append(
+            f"  {name.ljust(width)}  {calls:>7d}  {_fmt_s(total):>9}  "
+            f"{_fmt_s(self_s):>9}"
         )
     return lines
 
@@ -142,6 +185,10 @@ def summarize_trace(path: str | Path) -> str:
 
     lines.append("\nper-phase time (by span category):")
     lines.extend(_phase_table(spans))
+
+    lines.append("\nself time by span name (child spans on the same lane "
+                 "excluded):")
+    lines.extend(_self_time_table(spans))
 
     point_durs = [s["dur"] for s in spans if s["cat"] == "point"]
     if point_durs:

@@ -252,19 +252,26 @@ def sockets(draw):
 
 
 @st.composite
-def programs(draw, n_cores):
+def programs(draw, socket):
     """A list of ``(core, chunk)`` steps and ``"flush"``/``"reset"``
     markers. Chunks draw wide random lines, a hot set of at most 25
-    lines (L1 and L2 hits on slots that are not MRU), or strided
+    lines (L1 and L2 hits on slots that are not MRU), lines that share
+    one L1 set, one L2 set and one tag fingerprint (so every lookup among
+    them meets fingerprint matches that are other lines), or strided
     streams; descending streams end near line 0, so their prefetch
     targets go negative."""
     hot = np.array(draw(st.lists(st.integers(0, 4095), min_size=1,
                                  max_size=25, unique=True)))
+    period = max(socket.l1.n_sets, socket.l2.n_sets)
+    same_sets = draw(st.integers(0, period - 1)) + period * np.arange(4096)
+    prints = _ckernel.fingerprint(same_sets.astype(np.uint64))
+    collide = same_sets[prints == prints[draw(st.integers(0, 4095))]]
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     steps = []
     for _ in range(draw(st.integers(1, 40))):
         kind = draw(st.sampled_from(
-            ("wide", "hot", "hot", "stream", "stream", "flush", "reset")
+            ("wide", "hot", "hot", "collide", "stream", "stream", "flush",
+             "reset")
         ))
         if kind in ("flush", "reset"):
             steps.append(kind)
@@ -274,13 +281,15 @@ def programs(draw, n_cores):
             lines = rng.integers(0, 1 << 20, size=n)
         elif kind == "hot":
             lines = rng.choice(hot, size=n)
+        elif kind == "collide":
+            lines = rng.choice(collide, size=n)
         else:
             stride = draw(st.integers(1, 8)) * draw(st.sampled_from((1, -1)))
             start = draw(st.integers(0, 64))
             if stride < 0:
                 start += -stride * (n - 1)
             lines = start + stride * np.arange(n)
-        steps.append((draw(st.integers(0, n_cores - 1)), AccessChunk(
+        steps.append((draw(st.integers(0, socket.n_cores - 1)), AccessChunk(
             lines=lines,
             is_write=draw(st.booleans()),
             ops_per_access=draw(st.integers(0, 20)),
@@ -295,7 +304,68 @@ def programs(draw, n_cores):
 @st.composite
 def cases(draw):
     socket = draw(sockets())
-    return socket, draw(st.booleans()), draw(programs(socket.n_cores))
+    return socket, draw(st.booleans()), draw(programs(socket))
+
+
+def array_laws(kernel):
+    """A check of the set and index laws of an :class:`ArraySocket`'s
+    state, to call after every step: each set's circular recency list
+    visits each of its ways exactly once with ``prev`` and ``next``
+    inverse, every filled L1/L2 slot's fingerprint matches its tag, no tag
+    appears twice in one set, and the L3 line index maps every valid L3
+    line to its slot and holds nothing else."""
+    sock, empty_tag = kernel.socket, arraypath.EMPTY_TAG
+    levels = []
+    for tags, lru, fp, n_sets, ways in (
+        (kernel._tags1, kernel._lru1, kernel._fp1, sock.l1.n_sets, kernel._w1),
+        (kernel._tags2, kernel._lru2, kernel._fp2, sock.l2.n_sets, kernel._w2),
+        (kernel._tags3, kernel._lru3, None, sock.l3.n_sets, kernel._w3),
+    ):
+        # Slot ids are offsets into a block, one block per core at L1/L2.
+        blk = n_sets * ways
+        n_blocks = tags.size // blk
+        slot_base = np.repeat(np.arange(n_blocks) * blk, blk)
+        set_base = np.repeat(np.arange(n_blocks) * blk, n_sets)
+        own = (np.tile(np.arange(n_sets) * ways, n_blocks)
+               + np.arange(ways)[:, None])
+        levels.append((tags, lru, fp, ways, blk, slot_base,
+                       np.arange(tags.size) - slot_base, set_base, own))
+    idx, tags3 = kernel._idx3, kernel._tags3
+    size = idx.size
+    doubled = np.arange(2 * size)
+
+    def check():
+        for tags, (prev, nxt, head), fp, ways, blk, slot_base, local, \
+                set_base, own in levels:
+            assert ((nxt >= 0) & (nxt < blk) & (prev >= 0) & (prev < blk)).all()
+            assert (prev[nxt + slot_base] == local).all()
+            pos, visited = head, []
+            for _ in range(ways):
+                visited.append(pos)
+                pos = nxt[pos + set_base]
+            assert (pos == head).all()
+            assert (np.sort(np.stack(visited), axis=0) == own).all()
+            rows = np.sort(tags.reshape(-1, ways), axis=1)
+            assert not ((rows[:, 1:] == rows[:, :-1])
+                        & (rows[:, 1:] != empty_tag)).any()
+            if fp is not None:
+                assert fp.size == tags.size + 7
+                filled = tags != empty_tag
+                assert (fp[:tags.size][filled] == _ckernel.fingerprint(
+                    tags[filled].view(np.uint64))).all()
+        buckets = np.flatnonzero(idx >= 0)
+        assert np.array_equal(np.sort(idx[buckets]),
+                              np.flatnonzero(tags3 != empty_tag))
+        # A linear-probing lookup finds a line iff no empty bucket lies
+        # between its home bucket and the bucket holding it.
+        home = (tags3[idx[buckets]].view(np.uint64) * _ckernel.HASH_MULT
+                ) >> kernel._idx_shift
+        last_empty = np.maximum.accumulate(
+            np.where(np.tile(idx < 0, 2), doubled, -1))[buckets + size]
+        assert ((buckets - home.astype(np.int64)) % size
+                < buckets + size - last_empty).all()
+
+    return check
 
 
 @needs_c
@@ -326,6 +396,8 @@ def test_random_programs_match_list_kernel(case):
             arr.counts.ctypes.data, arr.times.ctypes.data
         )
 
+    assert_laws = array_laws(arr)
+    assert_laws()
     for step in steps:
         if step == "flush":
             assert_same_l3()
@@ -342,6 +414,7 @@ def test_random_programs_match_list_kernel(case):
             t = ref.run_chunk(core, chunk, clock[core])
             assert bits(arr.run_chunk(core, chunk, clock[core])) == bits(t)
             clock[core] = t
+        assert_laws()
     assert_same_counters(ref, arr, socket.n_cores)
     assert_same_l3()
     # Every access lands at exactly one level, on both kernels.

@@ -14,6 +14,7 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs.summary import self_times
 
 
 def record_small_trace(tmp_path):
@@ -101,6 +102,35 @@ class TestSummary:
         chrome = summarize_trace(out).split("\n", 1)[1]
         assert "point latency (n=4)" in chrome
         assert native.count("\n") == chrome.count("\n")
+
+    def test_self_time_per_span_name_on_two_lanes(self, tmp_path):
+        """Self time subtracts only child spans on the span's own lane:
+        lane 2's spans overlap lane 1's in time but are nobody's
+        children there."""
+        def x(name, t0_ms, end_ms, tid):
+            return {"name": name, "cat": "phase", "ph": "X", "pid": 1,
+                    "tid": tid, "ts": t0_ms * 1e3, "dur": (end_ms - t0_ms) * 1e3}
+
+        events = [
+            x("A", 0, 100, 1), x("B", 10, 40, 1), x("B", 50, 70, 1),
+            x("C", 55, 60, 1),
+            x("A", 20, 80, 2), x("C", 30, 50, 2),
+        ]
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({"traceEvents": events}))
+        spans, _, _ = load_trace(path)
+        got = {name: (calls, round(total, 9), round(self_s, 9))
+               for name, (calls, total, self_s) in self_times(spans).items()}
+        assert got == {"A": (2, 0.16, 0.09), "B": (2, 0.05, 0.045),
+                       "C": (2, 0.025, 0.025)}
+        report = summarize_trace(path)
+        assert "self time by span name" in report
+        rows = report.split("self time by span name", 1)[1].splitlines()[2:5]
+        assert [row.split() for row in rows] == [
+            ["A", "2", "160.0ms", "90.0ms"],
+            ["B", "2", "50.0ms", "45.0ms"],
+            ["C", "2", "25.0ms", "25.0ms"],
+        ]
 
     def test_empty_trace_reported_not_crashed(self, tmp_path):
         t = configure_tracer(tmp_path / "t.jsonl")

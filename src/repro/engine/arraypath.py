@@ -19,7 +19,9 @@ C-contiguous buffers:
 - an **L3 line index** (``int32``): a linear-probing table from line
   address to L3 slot, sized by the L3's slot count (a power of two with
   at least twice the slots), not by the range of line addresses;
-- a **dirty bitmap** (``uint8``) indexed by line address, grown on demand;
+- a **dirty bitmap** (``uint8``) indexed by line address, sized by the
+  simulator once its threads have allocated (:meth:`ArraySocket.reserve_lines`)
+  and grown on demand past that;
 - **arrival slots** (``float64``, one per L3 way) replacing the staged-
   line dict: a line with a pending link transfer is always still
   L3-resident (staging inserts it; consumption or eviction pops it), so
@@ -45,7 +47,16 @@ they cannot change.
 
 No object of a kernel sits in a reference cycle, so a point's kernel is
 freed by reference counting the moment its simulator is dropped, not
-whenever the cyclic garbage collector next runs.
+whenever the cyclic garbage collector next runs. Its state is not: a
+``weakref.finalize`` hands every array but the dirty bitmap, the ``KS``
+struct and the DRAM link's registers to a one-slot spare, and the next
+kernel of the same ``(SocketConfig, track_owner)`` takes it and resets
+it (:meth:`ArraySocket.flush_caches`, :meth:`ArraySocket.reset_counters`
+and the arbiter's registers) instead of allocating and building ~0.9 MB
+afresh at every point. A recycled kernel equals a fresh one in every
+output and every array the compiled code reads, the fingerprint bytes
+of empty slots aside. The dirty bitmap is always fresh: recycling it
+would mean clearing megabytes at every point.
 
 Simulators get their kernel from :func:`make_socket_kernel`: this array
 kernel when the C kernel loads, and the list kernel otherwise (no C
@@ -54,8 +65,11 @@ compiler, or ``REPRO_NO_CKERNEL=1``).
 
 from __future__ import annotations
 
+import collections
 import ctypes
+import functools
 import warnings
+import weakref
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -73,6 +87,14 @@ EMPTY_TAG = _ckernel.EMPTY_TAG
 
 #: Initial dirty-bitmap capacity (line addresses); doubled on demand.
 _DIRTY_CAP0 = 1 << 16
+
+#: The state of the most recently freed :class:`ArraySocket` as
+#: ``(key, state)``: its ``(SocketConfig, track_owner)`` and a map from
+#: attribute name to its arrays, ``KS`` struct and arbiter registers. One
+#: spare at a time; ``append`` (give back, dropping the older spare) and
+#: ``pop`` (take) are each a single atomic operation, so kernels built and
+#: freed on several threads at once never share a state.
+_spare: "collections.deque" = collections.deque(maxlen=1)
 
 # Arbiter register slots: regs (float64) and iregs (int64), as in C's ARB.
 _A_HWM, _A_WSTART, _A_RHO, _A_RHO_S, _A_DELAY, _A_KNEE, _A_BUSY = range(7)
@@ -98,21 +120,33 @@ class _ArbiterView:
     MAX_DELAY_SERVICES = 512.0
 
     def __init__(self, line_bytes: int, bandwidth_Bps: float,
-                 throttle_writebacks: bool = False):
+                 throttle_writebacks: bool = False, registers=None):
         self.line_bytes = line_bytes
         self.capacity_Bps = bandwidth_Bps
         self.service_ns = line_bytes / bandwidth_Bps * 1e9
-        self._a = np.zeros(7, dtype=np.float64)
-        self._ai = np.zeros(4, dtype=np.int64)
-        arb = self.struct = _ckernel.ARBStruct()
-        arb.regs, arb.iregs = self._a.ctypes.data, self._ai.ctypes.data
-        arb.service_ns = self.service_ns
-        arb.window_fills = self.WINDOW_FILLS
-        arb.min_window_span = self.MIN_WINDOW_SPAN_NS
-        arb.damping = self.DELAY_DAMPING
-        arb.max_delay_services = self.MAX_DELAY_SERVICES
+        if registers is None:
+            registers = self.registers(line_bytes, bandwidth_Bps,
+                                       throttle_writebacks)
+        self._a, self._ai, self.struct = registers
+
+    @classmethod
+    def registers(cls, line_bytes: int, bandwidth_Bps: float,
+                  throttle_writebacks: bool = False):
+        """A zeroed register block ``(regs, iregs, struct)``: the two
+        arrays and the C ``ARB`` struct pointing at them. A recycled
+        kernel's view adopts its predecessor's block (``registers=``)."""
+        a = np.zeros(7, dtype=np.float64)
+        ai = np.zeros(4, dtype=np.int64)
+        arb = _ckernel.ARBStruct()
+        arb.regs, arb.iregs = a.ctypes.data, ai.ctypes.data
+        arb.service_ns = line_bytes / bandwidth_Bps * 1e9
+        arb.window_fills = cls.WINDOW_FILLS
+        arb.min_window_span = cls.MIN_WINDOW_SPAN_NS
+        arb.damping = cls.DELAY_DAMPING
+        arb.max_delay_services = cls.MAX_DELAY_SERVICES
         arb.line_bytes = line_bytes
         arb.throttle_wb = 1 if throttle_writebacks else 0
+        return a, ai, arb
 
     # -- counters (read via properties so the C loop's updates show) --------
 
@@ -176,6 +210,12 @@ class _ArbiterView:
         self._ai[_AI_FILL_B] = 0
         self._ai[_AI_WB_B] = 0
 
+    def clear(self) -> None:
+        """Zero every register, the controller's state included: the
+        state of a new arbiter."""
+        self._a.fill(0.0)
+        self._ai.fill(0)
+
 
 class _PrefetcherView:
     """Per-core view of the shared stream-table arrays (introspection
@@ -199,32 +239,103 @@ class _PrefetcherView:
         self._issued[self._core] = 0
 
 
-def _recency_lists(n_blocks: int, n_sets: int, ways: int):
-    """``(prev, next, head)`` int32 arrays for ``n_blocks`` blocks of
-    ``n_sets`` sets: prev/next per slot and the LRU head per set, every
-    list circular and in slot order (see :func:`_reset_recency`)."""
+@functools.lru_cache(maxsize=64)
+def _recency_image(n_blocks: int, n_sets: int, ways: int):
+    """The read-only ``(prev, next, head)`` int32 arrays of ``n_blocks``
+    blocks of ``n_sets`` fresh sets, built once per geometry: every
+    set's circular recency list in slot order, way 0 at the LRU head and
+    the last way, ``prev[head]``, at the MRU end. A fill writes the head
+    slot and advances head past it, so empty slots fill in slot order,
+    as the list kernel appends."""
     slots, sets = n_blocks * n_sets * ways, n_blocks * n_sets
-    lru = (np.empty(slots, dtype=np.int32), np.empty(slots, dtype=np.int32),
-           np.empty(sets, dtype=np.int32))
-    _reset_recency(lru, n_sets, ways)
-    return lru
+    prev = np.empty(slots, dtype=np.int32)
+    nxt = np.empty(slots, dtype=np.int32)
+    head = np.empty(sets, dtype=np.int32)
+    # Views with one row of sets per block (per core at L1 and L2).
+    p, x = prev.reshape(-1, n_sets, ways), nxt.reshape(-1, n_sets, ways)
+    slot = np.arange(n_sets * ways, dtype=np.int32).reshape(n_sets, ways)
+    p[...] = slot - 1
+    p[:, :, 0] = slot[:, -1]
+    x[...] = slot + 1
+    x[:, :, -1] = slot[:, 0]
+    head.reshape(-1, n_sets)[...] = slot[:, 0]
+    for a in (prev, nxt, head):
+        a.flags.writeable = False
+    return prev, nxt, head
+
+
+def _recency_lists(n_blocks: int, n_sets: int, ways: int):
+    """Writable ``(prev, next, head)`` arrays for ``n_blocks`` blocks of
+    ``n_sets`` sets, in the fresh order of :func:`_recency_image`."""
+    return tuple(a.copy() for a in _recency_image(n_blocks, n_sets, ways))
 
 
 def _reset_recency(lru, n_sets: int, ways: int) -> None:
-    """Put every set's circular recency list back in slot order, way 0 at
-    the LRU head and the last way, ``prev[head]``, at the MRU end. A fill
-    writes the head slot and advances head past it, so empty slots fill in
-    slot order, as the list kernel appends."""
-    prev, nxt, head = lru
-    # Views with one row of sets per block (per core at L1 and L2).
-    prev, nxt = prev.reshape(-1, n_sets, ways), nxt.reshape(-1, n_sets, ways)
-    head = head.reshape(-1, n_sets)
-    slot = np.arange(n_sets * ways, dtype=np.int32).reshape(n_sets, ways)
-    prev[...] = slot - 1
-    prev[:, :, 0] = slot[:, -1]
-    nxt[...] = slot + 1
-    nxt[:, :, -1] = slot[:, 0]
-    head[...] = slot[:, 0]
+    """Put every set's circular recency list back in slot order by
+    copying the geometry's cached :func:`_recency_image`."""
+    image = _recency_image(lru[2].size // n_sets, n_sets, ways)
+    for dst, src in zip(lru, image):
+        np.copyto(dst, src)
+
+
+def _new_state(socket: SocketConfig, track_owner: bool) -> Dict[str, object]:
+    """A fresh kernel's recyclable state, keyed by :class:`ArraySocket`
+    attribute name: cache, index, prefetcher and counter arrays and the
+    DRAM link's register block (``KS`` and its pointer join on first
+    use). Everything a kernel keeps but its dirty bitmap."""
+    n = socket.n_cores
+    s1, w1 = socket.l1.n_sets, socket.l1.ways
+    s2, w2 = socket.l2.n_sets, socket.l2.ways
+    s3, w3 = socket.l3.n_sets, socket.l3.ways
+    ns = socket.prefetch.n_streams
+    counts, times = counter_matrices(n)
+    state: Dict[str, object] = {
+        "_tags1": np.full(n * s1 * w1, EMPTY_TAG, dtype=np.int64),
+        "_lru1": _recency_lists(n, s1, w1),
+        "_tags2": np.full(n * s2 * w2, EMPTY_TAG, dtype=np.int64),
+        "_lru2": _recency_lists(n, s2, w2),
+        # Tag fingerprints, read eight at a time: 7 bytes of padding keep
+        # the last set's reads inside the array. An empty slot's byte is
+        # never trusted (its tag decides), so flushes leave them.
+        "_fp1": np.zeros(n * s1 * w1 + 7, dtype=np.uint8),
+        "_fp2": np.zeros(n * s2 * w2 + 7, dtype=np.uint8),
+        "_tags3": np.full(s3 * w3, EMPTY_TAG, dtype=np.int64),
+        "_lru3": _recency_lists(1, s3, w3),
+        # L3 line -> slot index: a power of two with at least twice the
+        # L3 slots, so linear probes stay short (-1 = empty bucket).
+        "_idx3": np.full(1 << (2 * s3 * w3 - 1).bit_length(), -1, dtype=np.int32),
+        "_owner3": np.full(s3 * w3, -1, dtype=np.int64) if track_owner else None,
+        "_arrival3": np.full(s3 * w3, -1.0, dtype=np.float64),
+        # [0]=pending staged-line count.
+        "_iregs": np.zeros(1, dtype=np.int64),
+        "counts": counts,
+        "times": times,
+        "_arb_regs": _ArbiterView.registers(
+            socket.line_bytes, socket.dram_bandwidth_Bps,
+            socket.throttle_writebacks),
+    }
+    for name in _PF_TABLES:
+        state[name] = np.zeros(n * ns, dtype=np.int64)
+    state["_pf_count"] = np.zeros(n, dtype=np.int64)
+    state["_pf_issued"] = np.zeros(n, dtype=np.int64)
+    return state
+
+
+#: The per-core stream-table arrays of the prefetcher (``n_streams``
+#: entries per core), in ``KS`` order.
+_PF_TABLES = ("_pf_sid", "_pf_last", "_pf_stride", "_pf_streak",
+              "_pf_expected", "_pf_order")
+
+
+def _take_spare(key) -> Optional[Dict[str, object]]:
+    """Take the spare state if it has shape ``key``; a spare of another
+    shape is dropped (the kernel that misses frees its own state as the
+    next spare)."""
+    try:
+        spare_key, state = _spare.pop()
+    except IndexError:
+        return None
+    return state if spare_key == key else None
 
 
 class ArraySocket:
@@ -237,6 +348,12 @@ class ArraySocket:
     track_owner:
         Maintain a last-toucher owner tag per resident L3 slot for
         :meth:`l3_occupancy_by_owner`.
+
+    A new kernel takes the state a freed kernel of the same ``socket``
+    and ``track_owner`` left as the spare, when there is one, and resets
+    it to a fresh kernel's: :meth:`flush_caches`, :meth:`reset_counters`
+    and the arbiter's registers zeroed. Its dirty bitmap is always new;
+    :meth:`reserve_lines` sizes it.
 
     Raises :class:`~repro.errors.ConfigError` when the C kernel is
     unavailable; :func:`make_socket_kernel` picks the list kernel then.
@@ -256,50 +373,7 @@ class ArraySocket:
         self._l1_mask, self._l2_mask, self._l3_mask = s1 - 1, s2 - 1, s3 - 1
         self._w1, self._w2, self._w3 = w1, w2, w3
         self._blk1, self._blk2 = s1 * w1, s2 * w2
-
-        self._tags1 = np.full(n * s1 * w1, EMPTY_TAG, dtype=np.int64)
-        self._lru1 = _recency_lists(n, s1, w1)
-        self._tags2 = np.full(n * s2 * w2, EMPTY_TAG, dtype=np.int64)
-        self._lru2 = _recency_lists(n, s2, w2)
-        # Tag fingerprints, read eight at a time: 7 bytes of padding keep
-        # the last set's reads inside the array. An empty slot's byte is
-        # never trusted (its tag decides), so flushes leave them.
-        self._fp1 = np.zeros(n * s1 * w1 + 7, dtype=np.uint8)
-        self._fp2 = np.zeros(n * s2 * w2 + 7, dtype=np.uint8)
-        self._tags3 = np.full(s3 * w3, EMPTY_TAG, dtype=np.int64)
-        self._lru3 = _recency_lists(1, s3, w3)
-        # L3 line -> slot index: a power of two with at least twice the
-        # L3 slots, so linear probes stay short (-1 = empty bucket).
-        idx_bits = (2 * s3 * w3 - 1).bit_length()
-        self._idx3 = np.full(1 << idx_bits, -1, dtype=np.int32)
-        self._idx_shift = 64 - idx_bits
-        self._owner3: Optional[np.ndarray] = (
-            np.full(s3 * w3, -1, dtype=np.int64) if track_owner else None
-        )
-        self._arrival3 = np.full(s3 * w3, -1.0, dtype=np.float64)
-        self._dirty = np.zeros(_DIRTY_CAP0, dtype=np.uint8)
-        self._dirty_cap = _DIRTY_CAP0
-
-        # [0]=pending staged-line count.
-        self._iregs = np.zeros(1, dtype=np.int64)
-
-        ns = socket.prefetch.n_streams
-        self._pf_sid = np.zeros(n * ns, dtype=np.int64)
-        self._pf_last = np.zeros(n * ns, dtype=np.int64)
-        self._pf_stride = np.zeros(n * ns, dtype=np.int64)
-        self._pf_streak = np.zeros(n * ns, dtype=np.int64)
-        self._pf_expected = np.zeros(n * ns, dtype=np.int64)
-        self._pf_order = np.zeros(n * ns, dtype=np.int64)
-        self._pf_count = np.zeros(n, dtype=np.int64)
-        self._pf_issued = np.zeros(n, dtype=np.int64)
-
-        self.arbiter = _ArbiterView(socket.line_bytes, socket.dram_bandwidth_Bps,
-                                    socket.throttle_writebacks)
-        self.prefetchers = [
-            _PrefetcherView(socket.prefetch, self._pf_count, self._pf_issued, c)
-            for c in range(n)
-        ]
-        self.counts, self.times = counter_matrices(n)
+        self._idx_shift = 64 - (2 * s3 * w3 - 1).bit_length()
 
         t = socket.timing
         self._ns_per_op = t.ns_per_op
@@ -310,8 +384,33 @@ class ArraySocket:
         self._dram_ns = t.dram_latency_ns / t.mlp
         self._dram_serial_ns = t.dram_latency_ns
 
-        self._ks = self._build_struct()
-        self._ksp = ctypes.pointer(self._ks)
+        # The state of a freed kernel of this shape, or a fresh one.
+        key = (socket, track_owner)
+        state = _take_spare(key)
+        recycled = state is not None
+        if state is None:
+            state = _new_state(socket, track_owner)
+        vars(self).update(state)
+        self.arbiter = _ArbiterView(socket.line_bytes, socket.dram_bandwidth_Bps,
+                                    socket.throttle_writebacks,
+                                    registers=self._arb_regs)
+        self.prefetchers = [
+            _PrefetcherView(socket.prefetch, self._pf_count, self._pf_issued, c)
+            for c in range(n)
+        ]
+        # Never recycled: a fresh bitmap costs nothing until written.
+        self._dirty = np.zeros(_DIRTY_CAP0, dtype=np.uint8)
+        self._dirty_cap = _DIRTY_CAP0
+        if recycled:
+            self._bind_dirty()
+            self.flush_caches()
+            self.reset_counters()
+            self.arbiter.clear()
+        else:
+            self._ks = state["_ks"] = self._build_struct()
+            self._ksp = state["_ksp"] = ctypes.pointer(self._ks)
+        # Once this kernel is freed, its state is the next one's spare.
+        weakref.finalize(self, _spare.append, (key, state)).atexit = False
 
     # -- C plumbing ----------------------------------------------------------
 
@@ -354,6 +453,10 @@ class ArraySocket:
         ks.pf_nstreams = s.prefetch.n_streams
         return ks
 
+    def _bind_dirty(self) -> None:
+        self._ks.dirty = self._dirty.ctypes.data
+        self._ks.dirty_cap = self._dirty_cap
+
     def _grow_dirty(self, max_line: int) -> None:
         new_cap = self._dirty_cap
         while new_cap <= max_line:
@@ -362,8 +465,18 @@ class ArraySocket:
         grown[: self._dirty_cap] = self._dirty
         self._dirty = grown
         self._dirty_cap = new_cap
-        self._ks.dirty = self._dirty.ctypes.data
-        self._ks.dirty_cap = new_cap
+        self._bind_dirty()
+
+    def reserve_lines(self, n_lines: int) -> None:
+        """Size the dirty bitmap for line addresses below ``n_lines``.
+
+        The simulators call this once, after every thread has allocated
+        (``AddressSpace.used_bytes``), so a point grows the bitmap once
+        instead of at each refill that reaches a higher buffer. No result
+        depends on the bitmap's capacity.
+        """
+        if n_lines > self._dirty_cap:
+            self._grow_dirty(n_lines - 1)
 
     def ensure_line_capacity(self, lines: np.ndarray) -> None:
         """Validate a batch of line addresses and pre-grow the dirty
@@ -453,7 +566,10 @@ class ArraySocket:
         self.arbiter.reset_counters()
 
     def flush_caches(self) -> None:
-        """Empty every cache level and prefetcher (cold restart)."""
+        """Empty every cache level and prefetcher (cold restart): every
+        cache, index, dirty and prefetcher array is as in a new kernel,
+        but the fingerprint bytes of empty slots, which no lookup
+        trusts. Counters and the arbiter are :meth:`reset_counters`'."""
         s = self.socket
         self._tags1.fill(EMPTY_TAG)
         _reset_recency(self._lru1, s.l1.n_sets, self._w1)
@@ -467,6 +583,8 @@ class ArraySocket:
         self._arrival3.fill(-1.0)
         self._dirty.fill(0)
         self._iregs.fill(0)
+        for name in _PF_TABLES:
+            getattr(self, name).fill(0)
         self._pf_count.fill(0)
         self._pf_issued.fill(0)
 

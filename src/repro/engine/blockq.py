@@ -35,6 +35,21 @@ Every thread fills its slot in its ``fill_block`` through
 numpy copy for a run of equal-length chunks), or one chunk at a time
 (:meth:`QueueWriter.push`) where chunks differ: a short tail, a chunk
 that carries ``extra_ns``, or alternating chunk lengths.
+
+Block budget
+------------
+
+A slot's blocks grow with what its thread runs. Its first block may
+hold :data:`FIRST_BLOCK_LINES` lines, and every refill doubles the
+budget, up to the arena row (``line_cap``). :meth:`QueueWriter.begin`
+sets the budget and :attr:`QueueWriter.free_lines` reports what is left
+of it, which is how each ``fill_block`` sizes its batch. So a short
+window (a few thousand accesses per point) stages about what it runs
+instead of a full 64-chunk block per interference thread, while a long
+run reaches full blocks after a few refills. No result depends on the
+budget: each ``fill_block`` stages exactly its ``chunks()`` stream
+whatever ``free_lines`` allows, and the scheduler consumes the queued
+chunks in the same order however they were split into blocks.
 """
 
 from __future__ import annotations
@@ -52,6 +67,10 @@ DEFAULT_CHUNK_CAP = 64
 #: Default line-arena budget per chunk slot; blocks whose chunks are
 #: larger grow the arena geometrically instead of failing.
 DEFAULT_LINES_PER_CHUNK = 512
+
+#: Line budget of a slot's first block; each refill doubles it, up to
+#: the arena row. Like the chunk cap, it sets only the refill cadence.
+FIRST_BLOCK_LINES = 2048
 
 
 class BlockQueues:
@@ -113,22 +132,30 @@ class QueueWriter:
 
     A writer is always handed over *empty* (the scheduler calls
     :meth:`begin` right before the fill), with the full ``chunk_cap``
-    chunks and ``line_cap`` lines available. Implementations must push
-    at least one chunk unless the workload is finished — returning zero
-    chunks from ``fill_block`` marks the thread exhausted.
+    chunks and the block's line budget available: the first block's
+    budget is :data:`FIRST_BLOCK_LINES`, and each later one doubles it,
+    up to ``line_cap``. Implementations must push at least one chunk
+    unless the workload is finished — returning zero chunks from
+    ``fill_block`` marks the thread exhausted.
     """
 
-    __slots__ = ("q", "slot")
+    __slots__ = ("q", "slot", "budget")
 
     def __init__(self, q: BlockQueues, slot: int):
         self.q = q
         self.slot = slot
+        #: Line budget of the current block (0 before the first).
+        self.budget = 0
 
     def begin(self) -> None:
-        """Rewind the slot for a fresh block (scheduler-internal)."""
-        self.q.head[self.slot] = 0
-        self.q.count[self.slot] = 0
-        self.q.used_lines[self.slot] = 0
+        """Rewind the slot for a fresh block and set its line budget:
+        :data:`FIRST_BLOCK_LINES` for the first block, then twice the
+        previous budget, up to the arena row (scheduler-internal)."""
+        q, s = self.q, self.slot
+        q.head[s] = 0
+        q.count[s] = 0
+        q.used_lines[s] = 0
+        self.budget = min(max(2 * self.budget, FIRST_BLOCK_LINES), q.line_cap)
 
     @property
     def free_chunks(self) -> int:
@@ -136,10 +163,12 @@ class QueueWriter:
 
     @property
     def free_lines(self) -> int:
-        """Remaining line budget. Soft: :meth:`push` grows the arena
-        rather than fail, but fill_block implementations should size
-        their batch to this to keep memory bounded."""
-        return int(self.q.line_cap - self.q.used_lines[self.slot])
+        """What is left of the block's line budget. Soft: :meth:`push`
+        grows the arena rather than fail, and a ``fill_block`` stages at
+        least one chunk however small this is, but implementations size
+        their batch to it, so a short window stages about what it
+        runs."""
+        return max(self.budget - int(self.q.used_lines[self.slot]), 0)
 
     def push(
         self,

@@ -321,6 +321,10 @@ class FastSocket:
         from the matrices (a copy: later chunks do not change it)."""
         return core_counters(self.counts, self.times)
 
+    def reserve_lines(self, n_lines: int) -> None:
+        """Nothing to size: dirty lines are a set here (the array
+        kernel sizes its dirty bitmap in this call)."""
+
     def reset_counters(self) -> None:
         """Zero all event counters, keeping cache/link state (used to
         separate warm-up from the measurement window)."""

@@ -167,6 +167,12 @@ class NodeKernel:
             if hasattr(kern, "ensure_line_capacity"):
                 kern.ensure_line_capacity(lines)
 
+    def reserve_lines(self, n_lines: int) -> None:
+        """Size every socket kernel's dirty bitmap for line addresses
+        below ``n_lines`` (any socket may cache any line)."""
+        for kern in self.kernels:
+            kern.reserve_lines(n_lines)
+
     def reset_counters(self) -> None:
         for kern in self.kernels:
             kern.reset_counters()
@@ -313,6 +319,9 @@ class NodeSimulator:
     # -- lifecycle -------------------------------------------------------------
 
     def _start(self) -> None:
+        """Start every thread (each allocates its buffers, first-touch
+        homed on its socket), size the socket kernels' dirty bitmaps
+        once from what they allocated, and build the scheduler."""
         if self._started:
             return
         if not any(c.is_main for c in self._threads):
@@ -340,6 +349,9 @@ class NodeSimulator:
             state.thread.start(ctx)
             state.gen = state.thread.chunks()
         self.addrspace.set_touch_socket(0)
+        # Every buffer is allocated now: size the dirty bitmaps once.
+        self.fast.reserve_lines(
+            self.addrspace.used_bytes >> self.addrspace.line_shift)
         self._scheduler = Scheduler(self.fast, self._threads)
         self._started = True
 

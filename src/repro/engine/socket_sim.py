@@ -88,6 +88,9 @@ class SocketSimulator:
     # -- lifecycle -------------------------------------------------------------
 
     def _start(self) -> None:
+        """Start every thread (each allocates its buffers), size the
+        kernel's dirty bitmap once from what they allocated, and build
+        the scheduler."""
         if self._started:
             return
         if not any(c.is_main for c in self._threads):
@@ -101,6 +104,8 @@ class SocketSimulator:
             )
             state.thread.start(ctx)
             state.gen = state.thread.chunks()
+        self.fast.reserve_lines(
+            self.addrspace.used_bytes >> self.addrspace.line_shift)
         self._scheduler = Scheduler(self.fast, self._threads)
         self._started = True
 

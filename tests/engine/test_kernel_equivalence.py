@@ -10,12 +10,18 @@ sockets and access programs so that eviction order, prefetch staging and
 writebacks are checked far off those shapes. The list kernel in turn is
 validated against the object hierarchy in
 ``test_fastpath_equivalence.py``; the short hierarchy leg here closes the
-triangle directly for the array kernel. Without a C toolchain the array
+triangle directly for the array kernel. A freed array kernel leaves its
+state as a spare for the next kernel of its shape; the last section holds
+a recycled kernel bit-identical to a fresh one, and the spare safe when
+kernels come and go on several threads. Without a C toolchain the array
 kernel does not exist and its tests skip.
 """
 
 from __future__ import annotations
 
+import functools
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -25,13 +31,17 @@ from hypothesis import given, settings, strategies as st
 from repro.config import (
     CacheGeometry, PrefetchConfig, SocketConfig, tiny_socket, xeon20mb,
 )
+from repro.core.parallel import PointRunner
+from repro.core.sweep import ActiveMeasurement
 from repro.engine import AccessChunk, ArraySocket, FastSocket, make_socket_kernel
 from repro.engine import _ckernel, arraypath
 from repro.errors import ConfigError
 from repro.mem import DRAM, L1, L2, L3, SocketHierarchy
 from repro.mem.counters import COLUMN, COUNT_FIELDS, TIME_FIELDS
-from repro.units import GBps
-from repro.workloads import table_ii_distributions
+from repro.units import GBps, MiB
+from repro.workloads import (
+    ProbabilisticBenchmark, UniformDist, table_ii_distributions,
+)
 
 #: Count columns whose sum is every access: each lands at one level.
 LEVELS = [COLUMN.l1_hits, COLUMN.l2_hits, COLUMN.l3_hits,
@@ -475,3 +485,172 @@ class TestKernelSelection:
         monkeypatch.setattr(_ckernel, "load", lambda: None)
         with pytest.raises(ConfigError):
             ArraySocket(tiny_socket())
+
+
+# ---------------------------------------------------------------------------
+# Recycled kernel state: a freed kernel's arrays are the next one's spare
+# ---------------------------------------------------------------------------
+
+#: Every array the compiled code reads, but the fingerprints (compared
+#: on filled slots only), the recency lists and the arbiter registers.
+KERNEL_ARRAYS = (
+    "_tags1", "_tags2", "_tags3", "_idx3", "_owner3", "_arrival3", "_dirty",
+    "_iregs", "_pf_sid", "_pf_last", "_pf_stride", "_pf_streak",
+    "_pf_expected", "_pf_order", "_pf_count", "_pf_issued", "counts", "times",
+)
+
+
+def same_array(a, b) -> bool:
+    """Equal shape and bits (floats compared by their 64-bit patterns)."""
+    if a is None or b is None:
+        return a is b
+    if a.dtype == np.float64:
+        a, b = a.view(np.int64), b.view(np.int64)
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def assert_same_state(a, b):
+    """Two array kernels hold the same state, bit for bit, in every array
+    C reads: tags, recency lists, fingerprints of filled slots, index,
+    owners, arrivals, dirty bitmap, prefetcher tables, counter matrices
+    and the arbiter's registers. Fingerprint bytes of empty slots are
+    never trusted, so they may differ."""
+    for name in KERNEL_ARRAYS:
+        assert same_array(getattr(a, name), getattr(b, name)), name
+    for name in ("_lru1", "_lru2", "_lru3"):
+        for x, y in zip(getattr(a, name), getattr(b, name)):
+            assert same_array(x, y), name
+    for fp, tags in (("_fp1", "_tags1"), ("_fp2", "_tags2")):
+        filled = getattr(a, tags) != arraypath.EMPTY_TAG
+        n = filled.size
+        assert same_array(getattr(a, fp)[:n][filled], getattr(b, fp)[:n][filled]), fp
+    assert same_array(a.arbiter._a, b.arbiter._a), "arbiter regs"
+    assert same_array(a.arbiter._ai, b.arbiter._ai), "arbiter iregs"
+    for k in (a, b):
+        # C reads the dirty bitmap through KS: its own, at its capacity.
+        assert (k._ks.dirty, k._ks.dirty_cap) == (k._dirty.ctypes.data, k._dirty_cap)
+
+
+def run_program(kernel, steps, check=None):
+    """Run a :func:`programs` draw; returns every chunk's finish time."""
+    clock = [0.0] * kernel.socket.n_cores
+    finish = []
+    for step in steps:
+        if step == "flush":
+            kernel.flush_caches()
+        elif step == "reset":
+            kernel.reset_counters()
+        else:
+            core, chunk = step
+            clock[core] = kernel.run_chunk(core, chunk, clock[core])
+            finish.append(bits(clock[core]))
+        if check is not None:
+            check()
+    return finish
+
+
+@needs_c
+@given(cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_recycled_kernel_matches_fresh(case, data):
+    """A kernel built from a freed kernel's state equals a fresh kernel,
+    bit for bit. A random program (writes, prefetch, owner tracking,
+    lines past the initial dirty capacity, flushes and resets) runs on a
+    kernel, which is then dropped; the next kernel of the same shape
+    takes its state, a fresh one is built beside it, and a second
+    program runs on both: finish times, counters, arbiter registers and
+    every array C reads must match."""
+    socket, track_owner, first = case
+    second = data.draw(programs(socket), label="second program")
+    arraypath._spare.clear()  # the first kernel is built fresh
+    kernel = ArraySocket(socket, track_owner=track_owner)
+    run_program(kernel, first)
+    used = kernel._tags3
+    del kernel
+    recycled = ArraySocket(socket, track_owner=track_owner)
+    assert recycled._tags3 is used, "the next kernel did not take the spare"
+    fresh = ArraySocket(socket, track_owner=track_owner)
+    assert fresh._tags3 is not used
+    assert_same_state(recycled, fresh)
+    assert run_program(recycled, second, array_laws(recycled)) == run_program(
+        fresh, second)
+    assert_same_counters(fresh, recycled, socket.n_cores)
+    assert_same_state(recycled, fresh)
+
+
+#: The nine points of a short sweep: cs k = 0..4, then bw k = 0..3.
+NINE_POINTS = [("cs", k) for k in range(5)] + [("bw", k) for k in range(4)]
+
+
+def short_sweep(runner, seed=3):
+    """A campaign of short windows on the Xeon20MB (512 + 1,024 main
+    accesses at quantum 16), its points seeded apart."""
+    am = ActiveMeasurement(
+        xeon20mb(),
+        functools.partial(ProbabilisticBenchmark, UniformDist(), 8 * MiB,
+                          quantum=16),
+        seed=seed, warmup_accesses=512, measure_accesses=1024,
+        runner=runner, per_point_seeds=True,
+    )
+    return am
+
+
+@needs_c
+def test_nine_point_sweep_allocates_one_kernel_state(monkeypatch):
+    """Each point's kernel takes the state its predecessor left, so a
+    sweep allocates one kernel state, not one per point."""
+    built = []
+    new_state = arraypath._new_state
+
+    def counting(socket, track_owner):
+        built.append(socket.name)
+        return new_state(socket, track_owner)
+
+    monkeypatch.setattr(arraypath, "_new_state", counting)
+    arraypath._spare.clear()
+    am = short_sweep(PointRunner(backend="serial", retries=0))
+    for kind, k in NINE_POINTS:
+        am.run_point(kind, k)
+    assert built == ["Xeon20MB"]
+
+
+#: Rounds of threaded sweeps the thread-safety test runs.
+THREAD_ROUNDS = 8
+
+
+@needs_c
+def test_spare_is_safe_under_threads():
+    """Points run on more worker threads than cores, with the interpreter
+    switching threads every microsecond, equal the serial run point for
+    point: a spare taken by two kernels at once would corrupt both."""
+    def sweeps(runner):
+        out = []
+        for seed in (3, 4, 5, 6):
+            am = short_sweep(runner, seed)
+            out += am.sweep("cs", range(5)).points + am.sweep("bw", range(4)).points
+        return out
+
+    serial = sweeps(PointRunner(backend="serial", retries=0))
+    threaded = []
+
+    def rounds():
+        runner = PointRunner(backend="thread", max_workers=8, retries=0)
+        for _ in range(THREAD_ROUNDS):
+            threaded.append(sweeps(runner))
+
+    worker = threading.Thread(target=rounds, daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker.start()
+        worker.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive(), "threaded sweeps did not finish in time"
+    assert len(threaded) == THREAD_ROUNDS, "threaded sweeps raised"
+    for points in threaded:
+        assert len(points) == len(serial) == 36
+        for got, want in zip(points, serial):
+            assert (got.kind, got.k) == (want.kind, want.k)
+            assert bits(got.makespan_ns) == bits(want.makespan_ns)
+            assert got == want, f"{got.kind}:k={got.k}"

@@ -216,7 +216,8 @@ class TestBenchShapes:
         assert rc == 0
         baseline = json.loads(out.read_text())
         assert "random" in baseline["accesses_per_sec"]
-        assert baseline["schema_version"] == 4
+        assert baseline["schema_version"] == 5
+        assert baseline["clock"] == "thread_time"
         assert "sweep_accesses_per_sec" not in baseline
 
 

@@ -8,11 +8,15 @@ them, so a new workload without a case here fails), the staged blocks
 must hash the same as the generator's chunks — lines, write flag, ops,
 stream id, serialize, ``extra_ns`` by ``float.hex`` and prefetchable —
 and leave the thread's RNG in the same state. Infinite threads are
-compared over a fixed number of blocks; finite ones to exhaustion.
+compared over a fixed number of blocks; finite ones to exhaustion. The
+blocks are staged under the scheduler's budgets (``QueueWriter.begin``:
+a first block of ``FIRST_BLOCK_LINES`` lines, doubling to the arena
+row), so no workload's stream may depend on how much a block may hold.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib
 import inspect
@@ -25,7 +29,10 @@ import pytest
 from repro.apps import CommEnv, LuleshProxy, MCBProxy, RankApp, SpMVProxy
 from repro.cluster import CommModel, NoiseModel, ProcessMapping
 from repro.config import NetworkConfig, xeon20mb, xeon20mb_cluster
-from repro.engine.blockq import BlockQueues, QueueWriter
+from repro.core.parallel import PointRunner
+from repro.core.sweep import ActiveMeasurement
+from repro.engine.blockq import FIRST_BLOCK_LINES, BlockQueues, QueueWriter
+from repro.engine.scheduler import Scheduler
 from repro.engine.thread import SimThread, ThreadContext
 from repro.errors import ConfigError
 from repro.mem import AddressSpace
@@ -150,14 +157,19 @@ def chunk_digest(h, lines, is_write, ops, stream_id, serialize, extra_ns, pf) ->
 
 def staged_stream(thread: SimThread, chunk_cap: int, max_blocks: int):
     """sha256 of up to ``max_blocks`` blocks that ``fill_block`` stages,
-    their chunk count, and whether the stream ended (an empty block)."""
+    their chunk count, and whether the stream ended (an empty block).
+    Each block gets the scheduler's line budget from ``begin``: the first
+    ``FIRST_BLOCK_LINES``, then twice the last, up to the arena row."""
     h = hashlib.sha256()
     q = BlockQueues(1, chunk_cap=chunk_cap)
     w = QueueWriter(q, 0)
     n_chunks = 0
+    budget = min(FIRST_BLOCK_LINES, q.line_cap)
     for _ in range(max_blocks):
         w.begin()
+        assert w.free_lines == budget, "not the scheduler's block budget"
         thread.fill_block(w)
+        budget = min(2 * budget, q.line_cap)
         k = int(q.count[0])
         if k == 0:
             return h.hexdigest(), n_chunks, True
@@ -213,6 +225,46 @@ def test_fill_block_stages_the_chunks_stream(cls, seed, chunk_cap):
         assert (
             fast._ctx.rng.bit_generator.state == ref._ctx.rng.bit_generator.state
         ), f"case {i}: RNG consumed differently"
+
+
+#: The nine points of a short sweep: cs k = 0..4, then bw k = 0..3.
+NINE_POINTS = [("cs", k) for k in range(5)] + [("bw", k) for k in range(4)]
+
+
+def test_short_windows_stage_about_what_they_run(monkeypatch):
+    """A nine-point sweep of short windows (512 + 1,024 main accesses
+    at quantum 16, the shape of many small campaigns): per thread, the
+    lines staged are at most twice the accesses simulated plus one first
+    block, by exact counts. A full 64-chunk first block would stage
+    16,384 lines per interference thread for the ~2,000 it runs."""
+    staged: Dict[int, List] = {}
+    refill = Scheduler._refill
+
+    def counting_refill(self, st, slot):
+        refill(self, st, slot)
+        cs = self.cores[slot]
+        entry = staged.setdefault(id(cs), [cs, 0, 0])
+        entry[1] += int(st.q.used_lines[slot])
+        entry[2] += 1
+
+    monkeypatch.setattr(Scheduler, "_refill", counting_refill)
+    am = ActiveMeasurement(
+        xeon20mb(),
+        functools.partial(ProbabilisticBenchmark, UniformDist(), 8 * MiB,
+                          quantum=16),
+        seed=3, warmup_accesses=512, measure_accesses=1024,
+        runner=PointRunner(backend="serial", retries=0),
+    )
+    for kind, k in NINE_POINTS:
+        am.run_point(kind, k)
+    assert len(staged) == sum(1 + k for _, k in NINE_POINTS)
+    for cs, lines, refills in staged.values():
+        assert lines <= 2 * cs.accesses + FIRST_BLOCK_LINES, (
+            f"{cs.thread.name}: {lines} lines staged in {refills} blocks "
+            f"for {cs.accesses} accesses"
+        )
+    # Some thread staged more than one block, so the doubling was run.
+    assert max(refills for _, _, refills in staged.values()) > 1
 
 
 def test_every_case_names_a_discovered_thread():
